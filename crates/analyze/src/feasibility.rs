@@ -72,7 +72,7 @@ pub(crate) fn cross_check(
             }
         }
         let obs = spec.observe(program, &rf, &check);
-        if check_conventional(&spec, &[obs]).violation_count() == 0 {
+        if check_conventional(&spec, &[obs], false).violation_count() == 0 {
             feasible += 1;
         } else {
             infeasible += 1;

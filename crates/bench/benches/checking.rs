@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mtracecheck::graph::{
-    check_collective, check_conventional, CheckOptions, ObservedEdges, TestGraphSpec,
+    check_conventional, CheckOptions, CollectiveChecker, ObservedEdges, TestGraphSpec,
 };
 use mtracecheck::instr::{analyze, ExecutionSignature, SignatureSchema, SourcePruning};
 use mtracecheck::isa::{IsaKind, Program};
@@ -56,10 +56,10 @@ fn bench_checking(c: &mut Criterion) {
         let spec = TestGraphSpec::new(&program, test.mcm);
         group.throughput(Throughput::Elements(obs.len() as u64));
         group.bench_with_input(BenchmarkId::new("conventional", name), &obs, |b, obs| {
-            b.iter(|| check_conventional(&spec, obs));
+            b.iter(|| check_conventional(&spec, obs, false));
         });
         group.bench_with_input(BenchmarkId::new("collective", name), &obs, |b, obs| {
-            b.iter(|| check_collective(&spec, obs));
+            b.iter(|| CollectiveChecker::new(&spec).check_all(obs, false));
         });
     }
     group.finish();

@@ -12,9 +12,7 @@
 //! Run with: `cargo run -p mtc-bench --bin fig09 --release -- [--iters N] [--tests N]`
 
 use mtc_bench::{parse_scale, progress, write_json, Table};
-use mtracecheck::graph::{
-    check_collective, check_collective_split, check_conventional, CheckOptions, TestGraphSpec,
-};
+use mtracecheck::graph::{check_conventional, CheckOptions, CollectiveChecker, TestGraphSpec};
 use mtracecheck::instr::{analyze, ExecutionSignature, SignatureSchema, SourcePruning};
 use mtracecheck::sim::Simulator;
 use mtracecheck::testgen::generate_suite;
@@ -86,11 +84,13 @@ fn main() {
             graphs += observations.len();
 
             let t0 = Instant::now();
-            let conventional = check_conventional(&spec, &observations);
+            let conventional = check_conventional(&spec, &observations, false);
             let t1 = Instant::now();
-            let single = check_collective(&spec, &observations);
+            let single = CollectiveChecker::new(&spec).check_all(&observations, false);
             let t2 = Instant::now();
-            let split = check_collective_split(&spec, &observations);
+            let split = CollectiveChecker::new(&spec)
+                .with_split_windows()
+                .check_all(&observations, false);
             let t3 = Instant::now();
             conv_ms += (t1 - t0).as_secs_f64() * 1e3;
             single_ms += (t2 - t1).as_secs_f64() * 1e3;

@@ -267,8 +267,8 @@ mod tests {
     fn accepts_checker_pass_witness() {
         let (p, spec) = corr();
         let o = obs(&p, &spec, &[(1, 0, 1), (1, 1, 1)]);
-        let (outcome, certs) =
-            mtc_graph::check_conventional_certified(&spec, std::slice::from_ref(&o));
+        let outcome = mtc_graph::check_conventional(&spec, std::slice::from_ref(&o), true);
+        let certs = &outcome.certificates;
         assert!(outcome.results[0].is_ok());
         assert!(certs[0].is_pass());
         verify(&spec, &o, &certs[0]).expect("valid pass witness");
@@ -279,8 +279,8 @@ mod tests {
     fn accepts_checker_fail_witness() {
         let (p, spec) = corr();
         let o = obs(&p, &spec, &[(1, 0, 1), (1, 1, 0)]);
-        let (outcome, certs) =
-            mtc_graph::check_conventional_certified(&spec, std::slice::from_ref(&o));
+        let outcome = mtc_graph::check_conventional(&spec, std::slice::from_ref(&o), true);
+        let certs = &outcome.certificates;
         assert!(outcome.results[0].is_err());
         assert!(!certs[0].is_pass());
         verify(&spec, &o, &certs[0]).expect("valid cycle witness");
@@ -291,7 +291,8 @@ mod tests {
     fn rejects_backward_edges_and_bad_permutations() {
         let (p, spec) = corr();
         let o = obs(&p, &spec, &[(1, 0, 1), (1, 1, 1)]);
-        let (_, certs) = mtc_graph::check_conventional_certified(&spec, std::slice::from_ref(&o));
+        let certs =
+            mtc_graph::check_conventional(&spec, std::slice::from_ref(&o), true).certificates;
         let Certificate::Pass { order } = &certs[0] else {
             panic!("expected pass");
         };
@@ -361,7 +362,8 @@ mod tests {
     fn kind_mismatch_is_detected() {
         let (p, spec) = corr();
         let o = obs(&p, &spec, &[(1, 0, 1), (1, 1, 1)]);
-        let (_, certs) = mtc_graph::check_conventional_certified(&spec, std::slice::from_ref(&o));
+        let certs =
+            mtc_graph::check_conventional(&spec, std::slice::from_ref(&o), true).certificates;
         assert_eq!(
             verify_verdict(&spec, &o, &certs[0], true),
             Err(VerifyError::KindMismatch {

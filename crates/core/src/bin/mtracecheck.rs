@@ -1139,7 +1139,7 @@ fn cmd_program(args: &Args) -> Result<(), String> {
         .iter()
         .map(|rf| spec.observe(&program, rf, &CheckOptions::default()))
         .collect();
-    let outcome = check_conventional(&spec, &observations);
+    let outcome = check_conventional(&spec, &observations, false);
     println!(
         "{iterations} iterations -> {} unique interleavings, {} violations under {mcm}",
         unique.len(),

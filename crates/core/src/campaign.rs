@@ -19,10 +19,8 @@ use crate::{CoverageTracker, SignatureLog};
 use mtc_analyze::{lint_program, LintAction, LintPolicy, LintReport};
 use mtc_gen::{generate, generate_suite, TestConfig};
 use mtc_graph::{
-    check_collective_chunked, check_collective_chunked_certified, check_collective_with_boundaries,
-    check_collective_with_boundaries_certified, check_conventional, even_chunk_lengths,
-    Certificate, CheckError, CheckOptions, CheckStats, CollectiveChecker, CollectiveStats,
-    TestGraphSpec, Violation,
+    check_conventional, even_chunk_lengths, Certificate, CheckOptions, CheckStats,
+    CollectiveChecker, CollectiveOutcome, CollectiveStats, TestGraphSpec, Violation,
 };
 use mtc_instr::{
     analyze, CodeSize, CodeSizeModel, EncodeError, ExecutionSignature, IntrusivenessReport,
@@ -56,8 +54,8 @@ pub struct CampaignConfig {
     /// (Figure 9's baseline).
     pub compare_conventional: bool,
     /// Use the split-window collective checker (the beyond-the-paper
-    /// optimization; see `mtc_graph::check_collective_split`) instead of
-    /// the paper-faithful single window.
+    /// optimization; see `mtc_graph::CollectiveChecker::with_split_windows`)
+    /// instead of the paper-faithful single window.
     pub split_windows: bool,
     /// Run the configuration's tests on parallel host threads. Each test's
     /// simulation and checking are independent; results are identical to a
@@ -970,9 +968,9 @@ impl Campaign {
                     signature_index,
                     error: source.to_string(),
                 },
-                // A panicking chunk checker is contained by
-                // `CheckError::WorkerPanic` and classified like any other
-                // worker panic: retried, then quarantined.
+                // A panicking chunk checker is contained by the check's
+                // worker pool and classified like any other worker panic:
+                // retried, then quarantined.
                 Ok(Err(AttemptError::Check(CheckLogError::CheckerPanic { payload }))) => {
                     FailureCause::Panic { payload }
                 }
@@ -1535,6 +1533,14 @@ impl Campaign {
         // streams below in O(test size) memory.
         let materialize =
             config.compare_conventional || (config.chunked_check && config.workers > 1);
+        let new_checker = || {
+            let checker = CollectiveChecker::new(&spec);
+            if config.split_windows {
+                checker.with_split_windows()
+            } else {
+                checker
+            }
+        };
         if materialize {
             let mut observations = Vec::with_capacity(log.signatures.len());
             for (signature_index, (sig, _)) in log.signatures.iter().enumerate() {
@@ -1552,78 +1558,32 @@ impl Campaign {
                 observations.push(obs);
             }
             let check_started = scope.start();
-            let mut certs: Vec<Certificate> = Vec::new();
-            let collective = if config.chunked_check && config.workers > 1 {
-                if threaded {
-                    if arts.is_some() {
-                        let (outcome, witnesses) = check_collective_chunked_certified(
-                            &spec,
-                            &observations,
-                            config.workers,
-                            config.split_windows,
-                        )
-                        .map_err(
-                            |CheckError::WorkerPanic { payload }| CheckLogError::CheckerPanic {
-                                payload,
-                            },
-                        )?;
-                        certs = witnesses;
-                        outcome
-                    } else {
-                        check_collective_chunked(
-                            &spec,
-                            &observations,
-                            config.workers,
-                            config.split_windows,
-                        )
-                        .map_err(
-                            |CheckError::WorkerPanic { payload }| CheckLogError::CheckerPanic {
-                                payload,
-                            },
-                        )?
-                    }
-                } else {
-                    let lengths = even_chunk_lengths(observations.len(), config.workers);
-                    if arts.is_some() {
-                        let (outcome, witnesses) = check_collective_with_boundaries_certified(
-                            &spec,
-                            &observations,
-                            &lengths,
-                            config.split_windows,
-                        );
-                        certs = witnesses;
-                        outcome
-                    } else {
-                        check_collective_with_boundaries(
-                            &spec,
-                            &observations,
-                            &lengths,
-                            config.split_windows,
-                        )
-                    }
-                }
-            } else if arts.is_some() {
-                let mut results = Vec::with_capacity(observations.len());
-                let stats = mtc_graph::check_collective_iter_certified(
-                    &spec,
-                    &observations,
-                    config.split_windows,
-                    |_, result, cert| {
-                        results.push(result);
-                        certs.push(cert);
-                    },
-                );
-                mtc_graph::CollectiveOutcome { results, stats }
+            // The chunk plan: one chunk unless chunked checking is on, each
+            // chunk checked by a fresh checker on the worker pool (on the
+            // calling thread for a serial run). A panicking chunk fails the
+            // check instead of the process.
+            let chunks = if config.chunked_check {
+                config.workers
             } else {
-                let mut results = Vec::with_capacity(observations.len());
-                let stats = mtc_graph::check_collective_iter(
-                    &spec,
-                    &observations,
-                    config.split_windows,
-                    |_, result| results.push(result),
-                );
-                mtc_graph::CollectiveOutcome { results, stats }
+                1
             };
+            let mut rest = observations.as_slice();
+            let slices: Vec<&[mtc_graph::ObservedEdges]> =
+                even_chunk_lengths(observations.len(), chunks)
+                    .into_iter()
+                    .map(|len| {
+                        let (chunk, tail) = rest.split_at(len);
+                        rest = tail;
+                        chunk
+                    })
+                    .collect();
+            let width = if threaded { config.workers } else { 1 };
+            let collective = crate::pool::bounded_try_map(slices, width, |_, slice| {
+                new_checker().check_all(slice, arts.is_some())
+            })
+            .into_iter()
+            .map(|chunk| chunk.map_err(|e| CheckLogError::CheckerPanic { payload: e.payload }))
+            .collect::<Result<CollectiveOutcome, _>>()?;
             for (signature_index, ((sig, count), result)) in log
                 .signatures
                 .iter()
@@ -1631,7 +1591,7 @@ impl Campaign {
                 .enumerate()
             {
                 if let Some(c) = arts {
-                    let cert_bytes = certs[signature_index].to_bytes();
+                    let cert_bytes = collective.certificates[signature_index].to_bytes();
                     if result.is_err() {
                         violating.push((signature_index as u32, cert_bytes.clone()));
                     }
@@ -1670,19 +1630,16 @@ impl Campaign {
             );
             report.collective = collective.stats;
             if config.compare_conventional {
-                report.conventional = Some(check_conventional(&spec, &observations).stats);
+                report.conventional = Some(check_conventional(&spec, &observations, false).stats);
             }
         } else {
             // Streaming path: decode, observe and check one signature at a
             // time, retaining only the checker's windowed re-sort state and
             // any violation records — never the full observation sequence.
-            // The checker is the same `CollectiveChecker` the batch entry
-            // points are built on, so verdicts and Figure-14 stats are
-            // identical by construction.
-            let mut checker = CollectiveChecker::new(&spec);
-            if config.split_windows {
-                checker = checker.with_split_windows();
-            }
+            // `push_delta` runs the same incremental body as the batch
+            // path's `push`, so verdicts and Figure-14 stats are identical
+            // by construction.
+            let mut checker = new_checker();
             let telemetry_on = self.telemetry.enabled();
             let check_started = scope.start();
             // Delta checking: ascending-signature neighbours differ in few
@@ -1953,9 +1910,8 @@ pub enum CheckLogError {
         /// The underlying decode failure.
         source: mtc_instr::DecodeError,
     },
-    /// A parallel chunk checker panicked
-    /// ([`mtc_graph::CheckError::WorkerPanic`]); the panic was contained to
-    /// the checking call instead of aborting the process.
+    /// A collective chunk checker panicked; the panic was contained to the
+    /// checking call instead of aborting the process.
     CheckerPanic {
         /// Stringified panic payload.
         payload: String,
@@ -2326,6 +2282,37 @@ mod tests {
             assert_eq!(s.complete + s.no_resort + s.incremental, s.graphs);
             assert!(s.complete >= a.collective.complete);
         }
+    }
+
+    /// The chunk plan runs on the worker pool when threaded and on the
+    /// calling thread when serial: the same verdicts, violation records
+    /// and merged stats either way, at every chunk count.
+    #[test]
+    fn threaded_chunk_plan_matches_serial() {
+        let test = TestConfig::new(IsaKind::X86, 4, 50, 4)
+            .with_words_per_line(4)
+            .with_seed(7);
+        let system = mtc_sim::SystemConfig::gem5_x86()
+            .with_bug(mtc_sim::BugKind::LoadLoadLsq)
+            .with_aggressive_interleaving();
+        let config = CampaignConfig::new(test.clone(), 600).with_system(system);
+        let log = Campaign::new(config.clone()).collect(&generate(&test));
+        let mut saw_violation = false;
+        for workers in [1, 2, 3, 4, 8] {
+            let campaign =
+                Campaign::new(config.clone().with_workers(workers).with_chunked_checking());
+            let threaded = campaign
+                .check_log_impl(&log, true, Ids::test(0, 1), None)
+                .expect("threaded check");
+            let serial = campaign
+                .check_log_impl(&log, false, Ids::test(0, 1), None)
+                .expect("serial check");
+            assert_eq!(threaded.collective, serial.collective, "workers={workers}");
+            assert_eq!(threaded.violations, serial.violations, "workers={workers}");
+            assert!(threaded.collective.complete >= workers.min(log.signatures.len()));
+            saw_violation |= !threaded.violations.is_empty();
+        }
+        assert!(saw_violation, "the bug must yield violating chunks");
     }
 
     #[test]

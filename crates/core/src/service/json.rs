@@ -172,6 +172,14 @@ impl Value {
     }
 }
 
+/// `s` as a JSON string literal, quotes included, escaped like
+/// [`Value::Str`] renders it.
+pub(crate) fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    escape_into(s, &mut out);
+    out
+}
+
 /// Escapes a string exactly like `serde_json`: the two mandatory escapes,
 /// short forms for the common control characters, `\u00XX` for the rest,
 /// and raw UTF-8 for everything else.

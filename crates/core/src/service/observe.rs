@@ -30,8 +30,8 @@
 //! Everything here is hand-rolled JSON over [`super::json`]: the devstubs
 //! environment ships a non-functional `serde`.
 
-use super::json::Value;
-use crate::telemetry::trace::{escape_json, TraceRecord, TRACE_VERSION};
+use super::json::{quote, Value};
+use crate::telemetry::trace::{TraceRecord, TRACE_VERSION};
 use std::fmt::Write as _;
 
 /// Rendered-size cap for one shard's shipped trace array, before the
@@ -244,7 +244,7 @@ impl WireTraceRecord {
             let _ = write!(out, ",\"{key}\":{value}");
         }
         for (key, value) in &self.text {
-            let _ = write!(out, ",\"{key}\":\"{}\"", escape_json(value));
+            let _ = write!(out, ",\"{key}\":{}", quote(value));
         }
         out.push_str("}\n");
     }
@@ -299,7 +299,7 @@ impl LifecycleRecord {
             self.name, self.shard, self.slot_start, self.slot_end, self.attempt, self.seq
         );
         if let Some(cause) = &self.cause {
-            let _ = write!(out, ",\"cause\":\"{}\"", escape_json(cause));
+            let _ = write!(out, ",\"cause\":{}", quote(cause));
         }
         out.push_str("}\n");
     }
@@ -442,7 +442,7 @@ pub(crate) fn render_job_chrome(
         }
         for (key, value) in &record.text {
             sep(&mut out, &mut afirst);
-            let _ = write!(out, "\"{key}\":\"{}\"", escape_json(value));
+            let _ = write!(out, "\"{key}\":{}", quote(value));
         }
         out.push_str("}}");
     }
@@ -455,7 +455,7 @@ pub(crate) fn render_job_chrome(
             l.name, l.shard, l.attempt
         );
         if let Some(cause) = &l.cause {
-            let _ = write!(out, ",\"cause\":\"{}\"", escape_json(cause));
+            let _ = write!(out, ",\"cause\":{}", quote(cause));
         }
         out.push_str("}}");
     }

@@ -12,9 +12,11 @@
 //!
 //! All JSON here is hand-formatted: the devstubs environment ships a
 //! non-functional `serde`, and telemetry must work (and be testable)
-//! offline.
+//! offline. Strings are escaped, and trace lines parsed, by the crate's one
+//! dependency-free codec, [`crate::service::json`].
 
 use super::Ids;
+use crate::service::json::{self, quote, Value};
 use std::fmt::Write as _;
 
 /// Trace schema version, stamped into the leading `meta` record.
@@ -107,7 +109,7 @@ impl TraceRecord {
                     let _ = write!(out, ",\"{key}\":{value}");
                 }
                 for (key, value) in text {
-                    let _ = write!(out, ",\"{key}\":\"{}\"", escape_json(value));
+                    let _ = write!(out, ",\"{key}\":{}", quote(value));
                 }
                 out.push_str("}\n");
             }
@@ -220,31 +222,12 @@ fn write_chrome_args(
     }
     for (key, value) in text {
         sep(out);
-        let _ = write!(out, "\"{key}\":\"{}\"", escape_json(value));
+        let _ = write!(out, "\"{key}\":{}", quote(value));
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
-// Schema validation (dependency-free: a minimal JSON object scanner).
+// Schema validation.
 // ---------------------------------------------------------------------------
 
 /// Counts of schema-valid records in a trace file.
@@ -277,15 +260,15 @@ pub fn validate_trace_text(text: &str) -> Result<TraceSummary, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let fields = parse_flat_object(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let kind = match fields.iter().find(|(k, _)| k == "type") {
-            Some((_, JsonValue::Str(s))) => s.clone(),
+        let record = parse_record(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let kind = match record.get("type") {
+            Some(Value::Str(s)) => s.clone(),
             Some(_) => return Err(format!("line {}: `type` must be a string", lineno + 1)),
             None => return Err(format!("line {}: missing `type` field", lineno + 1)),
         };
         let require_num = |name: &str| -> Result<(), String> {
-            match fields.iter().find(|(k, _)| k == name) {
-                Some((_, JsonValue::Num(_))) => Ok(()),
+            match record.get(name) {
+                Some(Value::Int(_) | Value::Float(_)) => Ok(()),
                 Some(_) => Err(format!("line {}: `{name}` must be a number", lineno + 1)),
                 None => Err(format!(
                     "line {}: {kind} record missing `{name}`",
@@ -294,8 +277,8 @@ pub fn validate_trace_text(text: &str) -> Result<TraceSummary, String> {
             }
         };
         let require_str = |name: &str| -> Result<(), String> {
-            match fields.iter().find(|(k, _)| k == name) {
-                Some((_, JsonValue::Str(_))) => Ok(()),
+            match record.get(name) {
+                Some(Value::Str(_)) => Ok(()),
                 Some(_) => Err(format!("line {}: `{name}` must be a string", lineno + 1)),
                 None => Err(format!(
                     "line {}: {kind} record missing `{name}`",
@@ -312,10 +295,7 @@ pub fn validate_trace_text(text: &str) -> Result<TraceSummary, String> {
                     ));
                 }
                 require_num("version")?;
-                job_layout = matches!(
-                    fields.iter().find(|(k, _)| k == "layout"),
-                    Some((_, JsonValue::Str(layout))) if layout == "job"
-                );
+                job_layout = record.get("layout").and_then(Value::as_str) == Some("job");
                 summary.meta += 1;
             }
             "span" => {
@@ -373,20 +353,20 @@ pub fn validate_events_text(text: &str) -> Result<u64, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let fields = parse_flat_object(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let record = parse_record(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         if complete {
             return Err(format!(
                 "line {}: events after the terminal `complete` event",
                 lineno + 1
             ));
         }
-        let seq = match fields.iter().find(|(k, _)| k == "seq") {
-            Some((_, JsonValue::Num(n))) if *n >= 0.0 && n.fract() == 0.0 => *n as u64,
+        let seq = match record.get("seq").and_then(Value::as_f64) {
+            Some(n) if n >= 0.0 && n.fract() == 0.0 => n as u64,
             _ => return Err(format!("line {}: missing or non-integer `seq`", lineno + 1)),
         };
-        let name = match fields.iter().find(|(k, _)| k == "event") {
-            Some((_, JsonValue::Str(s))) => s.clone(),
-            _ => return Err(format!("line {}: missing string `event`", lineno + 1)),
+        let name = match record.get("event").and_then(Value::as_str) {
+            Some(s) => s.to_owned(),
+            None => return Err(format!("line {}: missing string `event`", lineno + 1)),
         };
         if let Some(last) = last_seq {
             if seq <= last {
@@ -445,137 +425,21 @@ pub fn validate_metrics_text(text: &str) -> Result<u64, String> {
     Ok(samples)
 }
 
-/// A parsed scalar value in a flat trace record.
-#[derive(Clone, Debug, PartialEq)]
-enum JsonValue {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-/// Parses one flat JSON object (string/number/bool/null values only — the
-/// full trace schema) into key/value pairs. Rejects nesting, trailing
-/// garbage, and malformed literals.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields = Vec::new();
-    if chars.next() != Some('{') {
-        return Err("expected `{`".to_owned());
+/// Parses one trace line: a single JSON object whose values are all
+/// scalars (the whole trace schema). Rejects nesting, trailing garbage,
+/// and malformed literals.
+fn parse_record(line: &str) -> Result<Value, String> {
+    let record = json::parse(line)?;
+    let Value::Obj(fields) = &record else {
+        return Err("expected a JSON object".to_owned());
+    };
+    if let Some((key, _)) = fields
+        .iter()
+        .find(|(_, v)| matches!(v, Value::Arr(_) | Value::Obj(_)))
+    {
+        return Err(format!("unsupported nested value for key `{key}`"));
     }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some('"') => {}
-            _ => return Err("expected `\"` opening a key".to_owned()),
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("expected `:` after key `{key}`"));
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::Str(parse_string(&mut chars)?),
-            // NB: peek-and-advance, not `take_while` — `take_while` would
-            // also consume the `,`/`}` delimiter after the literal.
-            Some('t' | 'f') => match parse_word(&mut chars).as_str() {
-                "true" => JsonValue::Bool(true),
-                "false" => JsonValue::Bool(false),
-                other => return Err(format!("bad literal `{other}`")),
-            },
-            Some('n') => {
-                let word = parse_word(&mut chars);
-                if word != "null" {
-                    return Err(format!("bad literal `{word}`"));
-                }
-                JsonValue::Null
-            }
-            Some(c) if *c == '-' || c.is_ascii_digit() => {
-                let mut num = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c == '-'
-                        || c == '+'
-                        || c == '.'
-                        || c == 'e'
-                        || c == 'E'
-                        || c.is_ascii_digit()
-                    {
-                        num.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                JsonValue::Num(
-                    num.parse::<f64>()
-                        .map_err(|_| format!("bad number `{num}`"))?,
-                )
-            }
-            _ => return Err(format!("unsupported value for key `{key}`")),
-        };
-        fields.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            _ => return Err("expected `,` or `}`".to_owned()),
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err("trailing garbage after object".to_owned());
-    }
-    Ok(fields)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(char::is_ascii_whitespace) {
-        chars.next();
-    }
-}
-
-/// Collects an alphabetic literal (`true`/`false`/`null`) without
-/// consuming the delimiter that follows it.
-fn parse_word(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> String {
-    let mut word = String::new();
-    while chars.peek().is_some_and(char::is_ascii_alphabetic) {
-        word.push(chars.next().expect("peeked"));
-    }
-    word
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected `\"`".to_owned());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            None => return Err("unterminated string".to_owned()),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                }
-                other => return Err(format!("bad escape `\\{}`", other.unwrap_or(' '))),
-            },
-            Some(c) => out.push(c),
-        }
-    }
+    Ok(record)
 }
 
 #[cfg(test)]
@@ -653,6 +517,16 @@ mod tests {
         let ok = "{\"type\":\"meta\",\"version\":1}\n\
                   {\"type\":\"event\",\"name\":\"spill\",\"seq\":0,\"at_us\":3,\"bytes\":128}";
         assert!(validate_trace_text(ok).is_ok());
+        for bad in [
+            "{\"type\":\"meta\",\"version\":1,\"nested\":{\"a\":1}}",
+            "{\"type\":\"meta\",\"version\":1,\"list\":[1]}",
+            "{\"type\":\"meta\",\"version\":1,\"flag\":tru}",
+            "{\"type\":\"meta\",\"version\":1,\"none\":nil}",
+            "{\"type\":\"meta\",\"version\":1} trailing",
+            "[{\"type\":\"meta\",\"version\":1}]",
+        ] {
+            assert!(validate_trace_text(bad).is_err(), "`{bad}` must fail");
+        }
     }
 
     #[test]

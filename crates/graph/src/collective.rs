@@ -16,8 +16,6 @@
 use crate::topo::{extract_cycle, full_sort_into, violation_from_cycle, ObsAdj, SortScratch};
 use crate::{Certificate, DeltaObservations, ObservedEdges, TestGraphSpec, Violation};
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
-use std::fmt;
 
 /// Breakdown of how much re-sorting the collective checker performed —
 /// the data behind Figure 14.
@@ -50,8 +48,8 @@ impl CollectiveStats {
     /// Every counter is additive, and each independently checked span of
     /// graphs satisfies the Figure 14 identity
     /// `complete + no_resort + incremental == graphs` on its own — so the
-    /// merged stats satisfy it too. This is the reduction step of
-    /// [`check_collective_chunked`].
+    /// merged stats satisfy it too. This is the reduction step of a chunk
+    /// plan (see [`CollectiveOutcome`]'s `FromIterator`).
     pub fn merge(&self, other: &CollectiveStats) -> CollectiveStats {
         CollectiveStats {
             graphs: self.graphs + other.graphs,
@@ -87,6 +85,9 @@ impl CollectiveStats {
 pub struct CollectiveOutcome {
     /// Per-graph results, in input order.
     pub results: Vec<Result<(), Violation>>,
+    /// Per-graph verdict certificates, in input order — empty unless the
+    /// pass was asked to certify.
+    pub certificates: Vec<Certificate>,
     /// Re-sorting breakdown and work counters.
     pub stats: CollectiveStats,
 }
@@ -98,42 +99,31 @@ impl CollectiveOutcome {
     }
 }
 
-/// Checks a sequence of executions collectively.
+/// Concatenates the outcomes of consecutive chunks: results and
+/// certificates in chunk order, stats summed with
+/// [`CollectiveStats::merge`].
 ///
-/// `observations` must be ordered so that neighbours are similar — in
-/// MTraceCheck, ascending execution-signature order (§4.1); the checker is
-/// correct for any order but fast only for a similarity-preserving one.
-///
-/// This is the paper-faithful variant: one re-sorting window from the
-/// leading to the trailing boundary. See [`check_collective_split`] for the
-/// interval-splitting optimization.
-pub fn check_collective(spec: &TestGraphSpec, observations: &[ObservedEdges]) -> CollectiveOutcome {
-    check_collective_with(spec, observations, false)
-}
-
-/// Collective checking with split re-sorting windows — an optimization
-/// beyond §4.2.
-///
-/// The paper re-sorts the single span from the first to the last vertex
-/// adjacent to a new backward edge; when backward edges cluster in distant
-/// regions, that one window covers mostly-untouched vertices. Merging each
-/// backward edge's position interval and re-sorting the resulting disjoint
-/// intervals independently is equally precise: every cycle contains a new
-/// backward edge, forward edges only increase positions, and any backward
-/// edge bridging two intervals would have merged them — so a cycle can
-/// never span disjoint intervals.
-pub fn check_collective_split(
-    spec: &TestGraphSpec,
-    observations: &[ObservedEdges],
-) -> CollectiveOutcome {
-    check_collective_with(spec, observations, true)
+/// Each chunk is checked by a fresh [`CollectiveChecker`] — its first
+/// graph re-seeds with a complete sort — so per-graph verdicts are
+/// *exactly* those of one checker over the whole sequence, for any chunk
+/// boundaries: a graph's verdict depends only on its own constraint graph,
+/// never on the checker's incremental state. Only the stats breakdown
+/// shifts (one extra `complete` sort per extra chunk).
+impl FromIterator<CollectiveOutcome> for CollectiveOutcome {
+    fn from_iter<I: IntoIterator<Item = CollectiveOutcome>>(chunks: I) -> Self {
+        let mut outcome = CollectiveOutcome::default();
+        for chunk in chunks {
+            outcome.results.extend(chunk.results);
+            outcome.certificates.extend(chunk.certificates);
+            outcome.stats = outcome.stats.merge(&chunk.stats);
+        }
+        outcome
+    }
 }
 
 /// Splits `len` items into at most `chunks` contiguous, near-equal,
-/// non-empty chunk lengths (earlier chunks take the remainder). This is the
-/// chunk plan [`check_collective_chunked`] uses; it is exposed so callers
-/// can reproduce the identical plan serially via
-/// [`check_collective_with_boundaries`].
+/// non-empty chunk lengths (earlier chunks take the remainder) — the chunk
+/// plan of chunked collective checking.
 pub fn even_chunk_lengths(len: usize, chunks: usize) -> Vec<usize> {
     let chunks = chunks.max(1).min(len.max(1));
     let base = len / chunks;
@@ -143,313 +133,23 @@ pub fn even_chunk_lengths(len: usize, chunks: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Collective checking over explicit contiguous chunks, serially.
+/// The collective checker (§4.2): feed one execution's observations at a
+/// time.
 ///
-/// Each chunk is checked independently — its first graph re-seeds the
-/// checker with a complete topological sort — and the per-chunk stats are
-/// summed with [`CollectiveStats::merge`]. Per-graph verdicts are *exactly*
-/// those of the unchunked checker for any boundary placement: a graph's
-/// verdict depends only on its own constraint graph, never on the checker's
-/// incremental state. Only the stats breakdown shifts (one extra `complete`
-/// sort per extra chunk).
+/// Push observations in ascending-signature order for the §4.1 similarity
+/// benefit; correctness does not depend on the order. The checker holds
+/// only its windowed re-sort state (the last valid topological order and
+/// the previous observation), never the whole sequence, so a merged
+/// signature stream of any length is checked in O(test size) memory.
 ///
-/// # Panics
+/// Three ways in, one incremental body:
 ///
-/// Panics when `lengths` does not sum to `observations.len()`.
-pub fn check_collective_with_boundaries(
-    spec: &TestGraphSpec,
-    observations: &[ObservedEdges],
-    lengths: &[usize],
-    split_windows: bool,
-) -> CollectiveOutcome {
-    assert_eq!(
-        lengths.iter().sum::<usize>(),
-        observations.len(),
-        "chunk lengths must partition the observations"
-    );
-    let mut outcome = CollectiveOutcome::default();
-    let mut start = 0;
-    for &len in lengths {
-        let chunk = check_collective_with(spec, &observations[start..start + len], split_windows);
-        outcome.results.extend(chunk.results);
-        outcome.stats = outcome.stats.merge(&chunk.stats);
-        start += len;
-    }
-    outcome
-}
-
-/// Collective checking sharded into `chunks` contiguous near-equal chunks,
-/// one scoped host thread per chunk.
-///
-/// Equal to [`check_collective_with_boundaries`] over
-/// [`even_chunk_lengths`]`(observations.len(), chunks)` — results in input
-/// order, stats summed — regardless of thread scheduling. Callers bound
-/// `chunks` by their worker budget; the function never spawns more threads
-/// than chunks.
-///
-/// # Errors
-///
-/// [`CheckError::WorkerPanic`] when a chunk worker panics: the panic is
-/// contained to this call instead of aborting the process, so the caller
-/// can degrade (retry, quarantine) the affected test.
-pub fn check_collective_chunked(
-    spec: &TestGraphSpec,
-    observations: &[ObservedEdges],
-    chunks: usize,
-    split_windows: bool,
-) -> Result<CollectiveOutcome, CheckError> {
-    let lengths = even_chunk_lengths(observations.len(), chunks);
-    if lengths.len() <= 1 {
-        return Ok(check_collective_with(spec, observations, split_windows));
-    }
-    let mut slices = Vec::with_capacity(lengths.len());
-    let mut start = 0;
-    for &len in &lengths {
-        slices.push(&observations[start..start + len]);
-        start += len;
-    }
-    let chunk_outcomes: Vec<CollectiveOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = slices
-            .into_iter()
-            .map(|slice| scope.spawn(move || check_collective_with(spec, slice, split_windows)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().map_err(|payload| CheckError::WorkerPanic {
-                    payload: panic_payload(payload.as_ref()),
-                })
-            })
-            .collect::<Result<Vec<_>, CheckError>>()
-    })?;
-    let mut outcome = CollectiveOutcome::default();
-    for chunk in chunk_outcomes {
-        outcome.results.extend(chunk.results);
-        outcome.stats = outcome.stats.merge(&chunk.stats);
-    }
-    Ok(outcome)
-}
-
-/// A collective checking pass failed for a reason outside the memory model
-/// — the graphs themselves are neither valid nor violating.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CheckError {
-    /// A chunk worker thread panicked. The panic is contained to the
-    /// checking call so the campaign can degrade the affected test instead
-    /// of aborting the process.
-    WorkerPanic {
-        /// Stringified panic payload.
-        payload: String,
-    },
-}
-
-impl fmt::Display for CheckError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckError::WorkerPanic { payload } => {
-                write!(f, "collective chunk worker panicked: {payload}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckError {}
-
-fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// Collective checking over a streaming iterator of observations.
-///
-/// This is the bounded-memory form of [`check_collective`]: the checker
-/// holds only its windowed re-sort state (the last valid topological order
-/// and the previous observation), never the full observation sequence, so
-/// an externally merged signature stream of any length can be checked in
-/// O(test size) memory. Per-graph verdicts are delivered to `on_result`
-/// in input order; the returned [`CollectiveStats`] — and every verdict —
-/// are identical to the slice-based checkers', which are themselves built
-/// on this path.
-pub fn check_collective_iter<I, F>(
-    spec: &TestGraphSpec,
-    observations: I,
-    split_windows: bool,
-    mut on_result: F,
-) -> CollectiveStats
-where
-    I: IntoIterator,
-    I::Item: Borrow<ObservedEdges>,
-    F: FnMut(usize, Result<(), Violation>),
-{
-    let mut checker = CollectiveChecker::new(spec);
-    if split_windows {
-        checker = checker.with_split_windows();
-    }
-    for (i, obs) in observations.into_iter().enumerate() {
-        on_result(i, checker.push(obs.borrow()));
-    }
-    *checker.stats()
-}
-
-/// Certified form of [`check_collective_iter`]: delivers each graph's
-/// verdict together with the [`Certificate`] witnessing it, in input
-/// order. Verdicts and [`CollectiveStats`] are identical to the
-/// uncertified path by construction — both are the same
-/// [`CollectiveChecker`]; the only extra work is cloning each witness.
-pub fn check_collective_iter_certified<I, F>(
-    spec: &TestGraphSpec,
-    observations: I,
-    split_windows: bool,
-    mut on_result: F,
-) -> CollectiveStats
-where
-    I: IntoIterator,
-    I::Item: Borrow<ObservedEdges>,
-    F: FnMut(usize, Result<(), Violation>, Certificate),
-{
-    let mut checker = CollectiveChecker::new(spec);
-    if split_windows {
-        checker = checker.with_split_windows();
-    }
-    for (i, obs) in observations.into_iter().enumerate() {
-        let result = checker.push(obs.borrow());
-        let cert = checker
-            .last_certificate()
-            .expect("a push always records a verdict");
-        on_result(i, result, cert);
-    }
-    *checker.stats()
-}
-
-/// Certified form of [`check_collective`] / [`check_collective_split`]:
-/// returns the outcome plus one [`Certificate`] per graph, in input order.
-pub fn check_collective_certified(
-    spec: &TestGraphSpec,
-    observations: &[ObservedEdges],
-    split_windows: bool,
-) -> (CollectiveOutcome, Vec<Certificate>) {
-    let mut outcome = CollectiveOutcome {
-        results: Vec::with_capacity(observations.len()),
-        ..CollectiveOutcome::default()
-    };
-    let mut certificates = Vec::with_capacity(observations.len());
-    outcome.stats =
-        check_collective_iter_certified(spec, observations, split_windows, |_, result, cert| {
-            outcome.results.push(result);
-            certificates.push(cert);
-        });
-    (outcome, certificates)
-}
-
-/// Certified form of [`check_collective_with_boundaries`]: identical
-/// verdicts and merged stats, plus one certificate per graph.
-///
-/// # Panics
-///
-/// Panics when `lengths` does not sum to `observations.len()`.
-pub fn check_collective_with_boundaries_certified(
-    spec: &TestGraphSpec,
-    observations: &[ObservedEdges],
-    lengths: &[usize],
-    split_windows: bool,
-) -> (CollectiveOutcome, Vec<Certificate>) {
-    assert_eq!(
-        lengths.iter().sum::<usize>(),
-        observations.len(),
-        "chunk lengths must partition the observations"
-    );
-    let mut outcome = CollectiveOutcome::default();
-    let mut certificates = Vec::with_capacity(observations.len());
-    let mut start = 0;
-    for &len in lengths {
-        let (chunk, certs) =
-            check_collective_certified(spec, &observations[start..start + len], split_windows);
-        outcome.results.extend(chunk.results);
-        certificates.extend(certs);
-        outcome.stats = outcome.stats.merge(&chunk.stats);
-        start += len;
-    }
-    (outcome, certificates)
-}
-
-/// Certified form of [`check_collective_chunked`]: one scoped thread per
-/// chunk, results and certificates in input order, stats merged.
-///
-/// # Errors
-///
-/// [`CheckError::WorkerPanic`] when a chunk worker panics.
-pub fn check_collective_chunked_certified(
-    spec: &TestGraphSpec,
-    observations: &[ObservedEdges],
-    chunks: usize,
-    split_windows: bool,
-) -> Result<(CollectiveOutcome, Vec<Certificate>), CheckError> {
-    let lengths = even_chunk_lengths(observations.len(), chunks);
-    if lengths.len() <= 1 {
-        return Ok(check_collective_certified(
-            spec,
-            observations,
-            split_windows,
-        ));
-    }
-    let mut slices = Vec::with_capacity(lengths.len());
-    let mut start = 0;
-    for &len in &lengths {
-        slices.push(&observations[start..start + len]);
-        start += len;
-    }
-    let chunk_outcomes: Vec<(CollectiveOutcome, Vec<Certificate>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = slices
-            .into_iter()
-            .map(|slice| {
-                scope.spawn(move || check_collective_certified(spec, slice, split_windows))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().map_err(|payload| CheckError::WorkerPanic {
-                    payload: panic_payload(payload.as_ref()),
-                })
-            })
-            .collect::<Result<Vec<_>, CheckError>>()
-    })?;
-    let mut outcome = CollectiveOutcome::default();
-    let mut certificates = Vec::with_capacity(observations.len());
-    for (chunk, certs) in chunk_outcomes {
-        outcome.results.extend(chunk.results);
-        certificates.extend(certs);
-        outcome.stats = outcome.stats.merge(&chunk.stats);
-    }
-    Ok((outcome, certificates))
-}
-
-fn check_collective_with(
-    spec: &TestGraphSpec,
-    observations: &[ObservedEdges],
-    split_windows: bool,
-) -> CollectiveOutcome {
-    let mut outcome = CollectiveOutcome {
-        results: Vec::with_capacity(observations.len()),
-        ..CollectiveOutcome::default()
-    };
-    outcome.stats = check_collective_iter(spec, observations, split_windows, |_, result| {
-        outcome.results.push(result);
-    });
-    outcome
-}
-
-/// Streaming collective checker: feed one observation at a time.
-///
-/// This is the online form of [`check_collective`], suitable for checking
-/// signatures as they arrive from a device instead of materializing the
-/// whole sequence first. Push observations in ascending-signature order for
-/// the §4.1 similarity benefit; correctness does not depend on the order.
+/// * [`push`](Self::push) — one canonical [`ObservedEdges`] at a time;
+/// * [`push_delta`](Self::push_delta) — the same execution presented as a
+///   running [`DeltaObservations`] diff;
+/// * [`check_all`](Self::check_all) — a whole slice, optionally certified.
+///   A chunk plan is a map of `check_all` over slices on fresh checkers,
+///   collected into one [`CollectiveOutcome`].
 ///
 /// # Example
 ///
@@ -481,9 +181,10 @@ pub struct CollectiveChecker<'s> {
     /// the base.
     base: ObservedEdges,
     has_base: bool,
-    /// Whether the current base was established by [`push_delta`]
-    /// (`CollectiveChecker::push_delta`); the two entry points must not be
-    /// interleaved while a base is live.
+    /// Whether the most recent push was a
+    /// [`push_delta`](CollectiveChecker::push_delta) — and so whether a live
+    /// base belongs to it; the two entry points must not be interleaved
+    /// while a base is live.
     delta_base: bool,
     /// CSR view of the current observation, rebuilt per incremental
     /// [`push`](CollectiveChecker::push).
@@ -604,6 +305,30 @@ impl ObsAdj for ObsCsr {
     }
 }
 
+/// One execution's observed edges as the shared incremental body reads
+/// them: an [`ObsAdj`] for complete sorts and cycle extraction, plus the
+/// adjacency a window re-sort scans — a per-push CSR view of a canonical
+/// edge list, or the delta set itself.
+trait Observation: ObsAdj {
+    type Window: ObsAdj;
+    fn window<'a>(&'a self, csr: &'a mut ObsCsr, num_vertices: usize) -> &'a Self::Window;
+}
+
+impl Observation for ObservedEdges {
+    type Window = ObsCsr;
+    fn window<'a>(&'a self, csr: &'a mut ObsCsr, num_vertices: usize) -> &'a ObsCsr {
+        csr.build(self, num_vertices);
+        csr
+    }
+}
+
+impl Observation for DeltaObservations {
+    type Window = Self;
+    fn window<'a>(&'a self, _: &'a mut ObsCsr, _: usize) -> &'a Self {
+        self
+    }
+}
+
 impl<'s> CollectiveChecker<'s> {
     /// Creates a checker with the paper-faithful single re-sorting window.
     pub fn new(spec: &'s TestGraphSpec) -> Self {
@@ -624,8 +349,17 @@ impl<'s> CollectiveChecker<'s> {
         }
     }
 
-    /// Returns the checker using split re-sorting windows (see
-    /// [`check_collective_split`]).
+    /// Returns the checker using split re-sorting windows — an optimization
+    /// beyond §4.2.
+    ///
+    /// The paper re-sorts the single span from the first to the last vertex
+    /// adjacent to a new backward edge; when backward edges cluster in
+    /// distant regions, that one window covers mostly-untouched vertices.
+    /// Merging each backward edge's position interval and re-sorting the
+    /// resulting disjoint intervals independently is equally precise: every
+    /// cycle contains a new backward edge, forward edges only increase
+    /// positions, and any backward edge bridging two intervals would have
+    /// merged them — so a cycle can never span disjoint intervals.
     pub fn with_split_windows(mut self) -> Self {
         self.split_windows = true;
         self
@@ -636,6 +370,31 @@ impl<'s> CollectiveChecker<'s> {
         &self.stats
     }
 
+    /// Checks a whole sequence of executions with this checker and returns
+    /// the per-graph verdicts in input order, the checker's stats, and —
+    /// when `certify` is set — one [`Certificate`] per graph (see
+    /// [`last_certificate`](Self::last_certificate)). Certifying never
+    /// changes a verdict or a stat; the only extra work is cloning each
+    /// witness.
+    pub fn check_all(mut self, observations: &[ObservedEdges], certify: bool) -> CollectiveOutcome {
+        let mut outcome = CollectiveOutcome {
+            results: Vec::with_capacity(observations.len()),
+            certificates: Vec::with_capacity(if certify { observations.len() } else { 0 }),
+            stats: CollectiveStats::default(),
+        };
+        for obs in observations {
+            outcome.results.push(self.push(obs));
+            if certify {
+                outcome.certificates.push(
+                    self.last_certificate()
+                        .expect("a push always records a verdict"),
+                );
+            }
+        }
+        outcome.stats = self.stats;
+        outcome
+    }
+
     /// Checks one more execution's observed edges.
     ///
     /// # Errors
@@ -643,114 +402,25 @@ impl<'s> CollectiveChecker<'s> {
     /// Returns the dependency [`Violation`] when the execution's constraint
     /// graph is cyclic; the checker recovers on the next push with a
     /// complete sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called while a base established by
+    /// [`push_delta`](Self::push_delta) is live.
     pub fn push(&mut self, obs: &ObservedEdges) -> Result<(), Violation> {
         assert!(
             !(self.has_base && self.delta_base),
             "CollectiveChecker::push must not follow push_delta while a base is live"
         );
-        self.stats.graphs += 1;
-        if !self.has_base {
-            // First graph (or recovery): complete conventional sort.
-            self.stats.complete += 1;
-            return match full_sort_into(
-                self.spec,
-                obs,
-                &mut self.stats.work,
-                &mut self.sort_scratch,
-            ) {
-                Ok(()) => {
-                    self.order.clone_from(&self.sort_scratch.order);
-                    for (p, &v) in self.order.iter().enumerate() {
-                        self.pos[v as usize] = p as u32;
-                    }
-                    self.base.clone_from(obs);
-                    self.has_base = true;
-                    self.delta_base = false;
-                    self.last_verdict = Some(true);
-                    Ok(())
-                }
-                Err(remaining) => {
-                    self.stats.violations += 1;
-                    let cycle = extract_cycle(self.spec, obs, &remaining);
-                    self.last_cycle.clone_from(&cycle);
-                    self.last_verdict = Some(false);
-                    Err(violation_from_cycle(self.spec, cycle))
-                }
-            };
-        }
+        self.delta_base = false;
         // Diff against the last valid observation; only new edges can
         // point backwards under a valid order.
-        let mut intervals = std::mem::take(&mut self.window_scratch.intervals);
-        intervals.clear();
-        for (u, v) in obs.difference(&self.base) {
-            self.stats.work += 1;
-            if self.pos[u as usize] > self.pos[v as usize] {
-                intervals.push((self.pos[v as usize], self.pos[u as usize]));
-            }
-        }
-        if intervals.is_empty() {
-            self.window_scratch.intervals = intervals;
-            self.stats.no_resort += 1;
-            self.base.clone_from(obs);
-            self.last_verdict = Some(true);
-            return Ok(());
-        }
-        self.stats.incremental += 1;
-        self.stats.incremental_vertices += self.spec.num_vertices() as u64;
-        self.obs_csr.build(obs, self.spec.num_vertices());
-        let mut merged = std::mem::take(&mut self.window_scratch.merged);
-        merged.clear();
-        if self.split_windows {
-            intervals.sort_unstable();
-            for &(lo, hi) in &intervals {
-                match merged.last_mut() {
-                    Some((_, end)) if lo <= *end => *end = (*end).max(hi),
-                    _ => merged.push((lo, hi)),
-                }
-            }
-        } else {
-            // Paper-faithful: one window from the leading to the trailing
-            // boundary.
-            let lead = intervals
-                .iter()
-                .map(|&(lo, _)| lo)
-                .min()
-                .expect("non-empty");
-            let trail = intervals
-                .iter()
-                .map(|&(_, hi)| hi)
-                .max()
-                .expect("non-empty");
-            merged.push((lead, trail));
-        }
-        self.window_scratch.intervals = intervals;
-        let mut result = Ok(());
-        for &(lead, trail) in &merged {
-            if let Err(remaining) = resort_window(
-                self.spec,
-                &self.obs_csr,
-                &mut self.order,
-                &mut self.pos,
-                lead as usize,
-                trail as usize,
-                &mut self.stats,
-                &mut self.window_scratch,
-            ) {
-                self.stats.violations += 1;
-                // The order no longer matches any valid graph; recover
-                // with a complete sort on the next push (no base).
-                self.has_base = false;
-                let cycle = extract_cycle(self.spec, obs, &remaining);
-                self.last_cycle.clone_from(&cycle);
-                result = Err(violation_from_cycle(self.spec, cycle));
-                break;
-            }
-        }
-        self.window_scratch.merged = merged;
+        let base = std::mem::take(&mut self.base);
+        let result = self.step(obs, obs.difference(&base));
+        self.base = base;
         if result.is_ok() {
             self.base.clone_from(obs);
         }
-        self.last_verdict = Some(result.is_ok());
         result
     }
 
@@ -785,12 +455,28 @@ impl<'s> CollectiveChecker<'s> {
             !self.has_base || self.delta_base,
             "CollectiveChecker::push_delta must not follow push while a base is live"
         );
+        self.delta_base = true;
+        // The caller's updates since the last push are the diff: edges with
+        // a net absent-to-present transition are exactly `obs \ base`.
+        self.step(set, set.new_edges())
+    }
+
+    /// The incremental body behind both push forms: a complete sort when
+    /// there is no base order, otherwise the window re-sort over the
+    /// positions spanned by `new_edges` (the edges absent from the base)
+    /// that point backwards under the current order.
+    fn step<O: Observation>(
+        &mut self,
+        obs: &O,
+        new_edges: impl Iterator<Item = (u32, u32)>,
+    ) -> Result<(), Violation> {
         self.stats.graphs += 1;
         if !self.has_base {
+            // First graph (or recovery): complete conventional sort.
             self.stats.complete += 1;
             return match full_sort_into(
                 self.spec,
-                set,
+                obs,
                 &mut self.stats.work,
                 &mut self.sort_scratch,
             ) {
@@ -800,24 +486,21 @@ impl<'s> CollectiveChecker<'s> {
                         self.pos[v as usize] = p as u32;
                     }
                     self.has_base = true;
-                    self.delta_base = true;
                     self.last_verdict = Some(true);
                     Ok(())
                 }
                 Err(remaining) => {
                     self.stats.violations += 1;
-                    let cycle = extract_cycle(self.spec, set, &remaining);
+                    let cycle = extract_cycle(self.spec, obs, &remaining);
                     self.last_cycle.clone_from(&cycle);
                     self.last_verdict = Some(false);
                     Err(violation_from_cycle(self.spec, cycle))
                 }
             };
         }
-        // The caller's updates since the last push are the diff: edges with
-        // a net absent-to-present transition are exactly `obs \ base`.
         let mut intervals = std::mem::take(&mut self.window_scratch.intervals);
         intervals.clear();
-        for (u, v) in set.new_edges() {
+        for (u, v) in new_edges {
             self.stats.work += 1;
             if self.pos[u as usize] > self.pos[v as usize] {
                 intervals.push((self.pos[v as usize], self.pos[u as usize]));
@@ -831,6 +514,7 @@ impl<'s> CollectiveChecker<'s> {
         }
         self.stats.incremental += 1;
         self.stats.incremental_vertices += self.spec.num_vertices() as u64;
+        let window = obs.window(&mut self.obs_csr, self.spec.num_vertices());
         let mut merged = std::mem::take(&mut self.window_scratch.merged);
         merged.clear();
         if self.split_windows {
@@ -842,6 +526,8 @@ impl<'s> CollectiveChecker<'s> {
                 }
             }
         } else {
+            // Paper-faithful: one window from the leading to the trailing
+            // boundary.
             let lead = intervals
                 .iter()
                 .map(|&(lo, _)| lo)
@@ -859,7 +545,7 @@ impl<'s> CollectiveChecker<'s> {
         for &(lead, trail) in &merged {
             if let Err(remaining) = resort_window(
                 self.spec,
-                set,
+                window,
                 &mut self.order,
                 &mut self.pos,
                 lead as usize,
@@ -868,8 +554,10 @@ impl<'s> CollectiveChecker<'s> {
                 &mut self.window_scratch,
             ) {
                 self.stats.violations += 1;
+                // The order no longer matches any valid graph; recover
+                // with a complete sort on the next push (no base).
                 self.has_base = false;
-                let cycle = extract_cycle(self.spec, set, &remaining);
+                let cycle = extract_cycle(self.spec, obs, &remaining);
                 self.last_cycle.clone_from(&cycle);
                 result = Err(violation_from_cycle(self.spec, cycle));
                 break;
@@ -1006,22 +694,6 @@ fn resort_window<A: ObsAdj>(
     Ok(())
 }
 
-/// Convenience: checks the same observations both ways and reports the
-/// work ratio (collective / conventional), the Figure 9 metric.
-pub fn compare_checkers(
-    spec: &TestGraphSpec,
-    observations: &[ObservedEdges],
-) -> (CollectiveOutcome, crate::CheckOutcome, f64) {
-    let collective = check_collective(spec, observations);
-    let conventional = crate::check_conventional(spec, observations);
-    let ratio = if conventional.stats.work == 0 {
-        0.0
-    } else {
-        collective.stats.work as f64 / conventional.stats.work as f64
-    };
-    (collective, conventional, ratio)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1042,6 +714,28 @@ mod tests {
         spec.observe(p, &rf, &CheckOptions::default())
     }
 
+    fn check(spec: &TestGraphSpec, seq: &[ObservedEdges]) -> CollectiveOutcome {
+        CollectiveChecker::new(spec).check_all(seq, false)
+    }
+
+    /// Checks `seq` as consecutive chunks of `lengths`, one fresh checker
+    /// per chunk.
+    fn check_chunks(
+        spec: &TestGraphSpec,
+        seq: &[ObservedEdges],
+        lengths: &[usize],
+    ) -> CollectiveOutcome {
+        let mut rest = seq;
+        lengths
+            .iter()
+            .map(|&len| {
+                let (chunk, tail) = rest.split_at(len);
+                rest = tail;
+                check(spec, chunk)
+            })
+            .collect()
+    }
+
     #[test]
     fn agrees_with_conventional_on_valid_sequences() {
         let (p, spec) = corr();
@@ -1050,10 +744,14 @@ mod tests {
             obs(&p, &spec, &[(1, 0, 0), (1, 1, 1)]),
             obs(&p, &spec, &[(1, 0, 1), (1, 1, 1)]),
         ];
-        let (collective, conventional, ratio) = compare_checkers(&spec, &seq);
+        let collective = check(&spec, &seq);
+        let conventional = crate::check_conventional(&spec, &seq, false);
         assert_eq!(collective.violation_count(), 0);
         assert_eq!(conventional.violation_count(), 0);
-        assert!(ratio <= 1.0, "collective must not do more work ({ratio})");
+        assert!(
+            collective.stats.work <= conventional.stats.work,
+            "collective must not do more work"
+        );
         assert_eq!(collective.stats.complete, 1);
         assert_eq!(collective.stats.no_resort + collective.stats.incremental, 2);
     }
@@ -1066,7 +764,7 @@ mod tests {
             obs(&p, &spec, &[(1, 0, 1), (1, 1, 0)]), // anti-coherent
             obs(&p, &spec, &[(1, 0, 0), (1, 1, 1)]), // fine again
         ];
-        let outcome = check_collective(&spec, &seq);
+        let outcome = check(&spec, &seq);
         assert!(outcome.results[0].is_ok());
         assert!(outcome.results[1].is_err());
         assert!(outcome.results[2].is_ok());
@@ -1079,7 +777,7 @@ mod tests {
         let (p, spec) = corr();
         let o = obs(&p, &spec, &[(1, 0, 1), (1, 1, 1)]);
         let seq = vec![o.clone(), o.clone(), o];
-        let outcome = check_collective(&spec, &seq);
+        let outcome = check(&spec, &seq);
         assert_eq!(outcome.stats.no_resort, 2);
         assert_eq!(outcome.stats.resorted_vertices, 0);
     }
@@ -1087,7 +785,7 @@ mod tests {
     #[test]
     fn empty_sequence_is_trivially_fine() {
         let (_, spec) = corr();
-        let outcome = check_collective(&spec, &[]);
+        let outcome = check(&spec, &[]);
         assert_eq!(outcome.stats.graphs, 0);
         assert_eq!(outcome.violation_count(), 0);
     }
@@ -1101,7 +799,7 @@ mod tests {
             obs(&p, &spec, &[(1, 0, 1), (1, 1, 1)]),
             obs(&p, &spec, &[(1, 0, 0), (1, 1, 1)]),
         ];
-        let batch = check_collective(&spec, &seq);
+        let batch = check(&spec, &seq);
         let mut streaming = CollectiveChecker::new(&spec);
         for (i, o) in seq.iter().enumerate() {
             assert_eq!(
@@ -1122,8 +820,10 @@ mod tests {
             obs(&p, &spec, &[(1, 0, 1), (1, 1, 0)]), // violating
             obs(&p, &spec, &[(1, 0, 0), (1, 1, 1)]),
         ];
-        let single = check_collective(&spec, &seq);
-        let split = check_collective_split(&spec, &seq);
+        let single = check(&spec, &seq);
+        let split = CollectiveChecker::new(&spec)
+            .with_split_windows()
+            .check_all(&seq, false);
         for (a, b) in single.results.iter().zip(split.results.iter()) {
             assert_eq!(a.is_ok(), b.is_ok());
         }
@@ -1188,15 +888,47 @@ mod tests {
     }
 
     #[test]
+    fn certifying_changes_nothing_but_the_witnesses() {
+        let (p, spec) = corr();
+        let seq = corr_outcomes(&p, &spec);
+        let plain = check(&spec, &seq);
+        let certified = CollectiveChecker::new(&spec).check_all(&seq, true);
+        assert!(plain.certificates.is_empty());
+        assert_eq!(certified.certificates.len(), seq.len());
+        assert_eq!(plain.results, certified.results);
+        assert_eq!(plain.stats, certified.stats);
+        for (result, cert) in certified.results.iter().zip(&certified.certificates) {
+            assert_eq!(result.is_err(), matches!(cert, Certificate::Fail { .. }));
+        }
+    }
+
+    /// Chunks of the even plan checked on their own threads, collected in
+    /// plan order, equal the same plan checked serially — whatever the
+    /// thread scheduling.
+    #[test]
     fn chunked_matches_boundaries_on_the_even_plan() {
         let (p, spec) = corr();
         let outcomes = corr_outcomes(&p, &spec);
         let seq: Vec<ObservedEdges> = (0..17).map(|i| outcomes[i % 4].clone()).collect();
         for chunks in [1, 2, 3, 4, 8] {
             let lengths = even_chunk_lengths(seq.len(), chunks);
-            let parallel =
-                check_collective_chunked(&spec, &seq, chunks, false).expect("no worker panics");
-            let serial = check_collective_with_boundaries(&spec, &seq, &lengths, false);
+            let parallel: CollectiveOutcome = std::thread::scope(|scope| {
+                let mut rest = seq.as_slice();
+                let handles: Vec<_> = lengths
+                    .iter()
+                    .map(|&len| {
+                        let (chunk, tail) = rest.split_at(len);
+                        rest = tail;
+                        let spec = &spec;
+                        scope.spawn(move || check(spec, chunk))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("no worker panics"))
+                    .collect()
+            });
+            let serial = check_chunks(&spec, &seq, &lengths);
             assert_eq!(parallel.results, serial.results, "{chunks} chunks");
             assert_eq!(parallel.stats, serial.stats, "{chunks} chunks");
         }
@@ -1207,8 +939,8 @@ mod tests {
         let (p, spec) = corr();
         let outcomes = corr_outcomes(&p, &spec);
         let seq: Vec<ObservedEdges> = (0..12).map(|i| outcomes[i % 3].clone()).collect();
-        let whole = check_collective(&spec, &seq);
-        let chunked = check_collective_chunked(&spec, &seq, 4, false).expect("no worker panics");
+        let whole = check(&spec, &seq);
+        let chunked = check_chunks(&spec, &seq, &even_chunk_lengths(seq.len(), 4));
         // Verdicts identical; each chunk re-seeds with one complete sort.
         for (a, b) in whole.results.iter().zip(chunked.results.iter()) {
             assert_eq!(a.is_ok(), b.is_ok());
@@ -1284,9 +1016,8 @@ mod tests {
                 let lengths: Vec<usize> =
                     bounds.windows(2).map(|w| w[1] - w[0]).collect();
 
-                let whole = check_collective(&spec, &seq);
-                let chunked =
-                    check_collective_with_boundaries(&spec, &seq, &lengths, false);
+                let whole = check(&spec, &seq);
+                let chunked = check_chunks(&spec, &seq, &lengths);
                 prop_assert_eq!(whole.results.len(), chunked.results.len());
                 for (a, b) in whole.results.iter().zip(chunked.results.iter()) {
                     prop_assert_eq!(a.is_ok(), b.is_ok());

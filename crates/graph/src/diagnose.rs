@@ -64,7 +64,7 @@ pub struct ExplainedEdge {
 /// rf.record(OpId::new(Tid(1), 0), Value(1));      // first load sees the store,
 /// rf.record(OpId::new(Tid(1), 1), Value::INIT);   // second reads older: violation
 /// let obs = spec.observe(&t.program, &rf, &CheckOptions::default());
-/// let violation = check_conventional(&spec, &[obs]).results[0].clone().unwrap_err();
+/// let violation = check_conventional(&spec, &[obs], false).results[0].clone().unwrap_err();
 /// let report = explain_violation(&t.program, &spec, &rf, &violation);
 /// assert!(report.contains("--rf->") && report.contains("--fr->"));
 /// ```
@@ -186,7 +186,7 @@ mod tests {
         rf.record(OpId::new(Tid(1), 0), Value(1));
         rf.record(OpId::new(Tid(1), 1), Value::INIT);
         let obs = spec.observe(&t.program, &rf, &CheckOptions::default());
-        let violation = check_conventional(&spec, &[obs]).results[0]
+        let violation = check_conventional(&spec, &[obs], false).results[0]
             .clone()
             .unwrap_err();
         (t.program, spec, rf, violation)

@@ -78,7 +78,7 @@ mod tests {
         rf.record(OpId::new(Tid(1), 0), Value(1));
         rf.record(OpId::new(Tid(1), 1), Value::INIT);
         let obs = spec.observe(&t.program, &rf, &CheckOptions::default());
-        let outcome = check_conventional(&spec, std::slice::from_ref(&obs));
+        let outcome = check_conventional(&spec, std::slice::from_ref(&obs), false);
         let violation = outcome.results[0].as_ref().unwrap_err();
 
         let dot = render_dot(&t.program, &spec, &obs, Some(violation));

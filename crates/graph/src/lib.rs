@@ -8,21 +8,28 @@
 //! and from-read, derived from each load's observed value). An execution
 //! violates the MCM exactly when its graph is cyclic (§2 of the paper).
 //!
-//! Two checkers are provided:
+//! Two checkers are provided, each with one entry point:
 //!
 //! * [`check_conventional`] — the classic baseline: a full topological sort
 //!   per graph;
-//! * [`check_collective`] — MTraceCheck's contribution (§4.2): graphs arrive
-//!   in ascending-signature order, and each is validated by re-sorting only
-//!   the window of the previous topological order disturbed by new backward
-//!   edges. [`CollectiveStats`] records the Figure 14 breakdown.
+//! * [`CollectiveChecker`] — MTraceCheck's contribution (§4.2): graphs
+//!   arrive in ascending-signature order, and each is validated by
+//!   re-sorting only the window of the previous topological order disturbed
+//!   by new backward edges. Feed it one graph at a time
+//!   ([`push`](CollectiveChecker::push),
+//!   [`push_delta`](CollectiveChecker::push_delta)) or a whole slice
+//!   ([`check_all`](CollectiveChecker::check_all)); [`CollectiveStats`]
+//!   records the Figure 14 breakdown.
+//!
+//! Either checker can also emit a [`Certificate`] per verdict for the
+//! independent verifier.
 //!
 //! [`k_medoids`] implements the §4.1 clustering limit study (Figure 6).
 //!
 //! # Example
 //!
 //! ```
-//! use mtc_graph::{check_collective, check_conventional, CheckOptions, TestGraphSpec};
+//! use mtc_graph::{check_conventional, CheckOptions, CollectiveChecker, TestGraphSpec};
 //! use mtc_isa::{litmus, Mcm, OpId, ReadsFrom, Tid, Value};
 //!
 //! let t = litmus::corr();
@@ -34,9 +41,10 @@
 //! rf.record(OpId::new(Tid(1), 1), Value::INIT);
 //! let obs = spec.observe(&t.program, &rf, &CheckOptions::default());
 //!
-//! let outcome = check_conventional(&spec, &[obs.clone()]);
+//! let outcome = check_conventional(&spec, &[obs.clone()], false);
 //! assert_eq!(outcome.violation_count(), 1);
-//! assert_eq!(check_collective(&spec, &[obs]).violation_count(), 1);
+//! let collective = CollectiveChecker::new(&spec).check_all(&[obs], false);
+//! assert_eq!(collective.violation_count(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,18 +60,10 @@ mod spec;
 mod topo;
 
 pub use certificate::{Certificate, CertificateError, CERT_HEADER_BYTES, CERT_MAGIC, CERT_VERSION};
-pub use collective::{
-    check_collective, check_collective_certified, check_collective_chunked,
-    check_collective_chunked_certified, check_collective_iter, check_collective_iter_certified,
-    check_collective_split, check_collective_with_boundaries,
-    check_collective_with_boundaries_certified, compare_checkers, even_chunk_lengths, CheckError,
-    CollectiveChecker, CollectiveOutcome, CollectiveStats,
-};
+pub use collective::{even_chunk_lengths, CollectiveChecker, CollectiveOutcome, CollectiveStats};
 pub use delta::DeltaObservations;
 pub use diagnose::{classify_cycle, explain_violation, EdgeReason, ExplainedEdge};
 pub use dot::render_dot;
 pub use kmedoids::{k_medoids, KMedoidsResult};
 pub use spec::{CheckOptions, EdgeScratch, ObservedEdges, TestGraphSpec};
-pub use topo::{
-    check_conventional, check_conventional_certified, CheckOutcome, CheckStats, Violation,
-};
+pub use topo::{check_conventional, CheckOutcome, CheckStats, Violation};

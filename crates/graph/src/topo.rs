@@ -67,6 +67,9 @@ pub struct CheckStats {
 pub struct CheckOutcome {
     /// Per-graph result, in input order.
     pub results: Vec<Result<(), Violation>>,
+    /// Per-graph verdict certificates, in input order — empty unless the
+    /// pass was asked to certify.
+    pub certificates: Vec<crate::Certificate>,
     /// Aggregate work counters.
     pub stats: CheckStats,
 }
@@ -254,15 +257,37 @@ pub(crate) fn violation_from_cycle(spec: &TestGraphSpec, cycle: Vec<u32>) -> Vio
 /// The conventional checker: every constraint graph is topologically sorted
 /// from scratch, independently — the baseline MTraceCheck's collective
 /// checking is measured against (Figure 9).
-pub fn check_conventional(spec: &TestGraphSpec, observations: &[ObservedEdges]) -> CheckOutcome {
+///
+/// With `certify`, the outcome also carries a
+/// [`Certificate`](crate::Certificate) witnessing each graph's verdict —
+/// the produced topological order for PASS (materialized by every sort
+/// anyway) or the extracted cycle for FAIL. Verdicts, stats and cycles are
+/// the same either way.
+pub fn check_conventional(
+    spec: &TestGraphSpec,
+    observations: &[ObservedEdges],
+    certify: bool,
+) -> CheckOutcome {
     let mut outcome = CheckOutcome::default();
     let mut scratch = SortScratch::default();
     for obs in observations {
         let result = match full_sort_into(spec, obs, &mut outcome.stats.work, &mut scratch) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                if certify {
+                    outcome.certificates.push(crate::Certificate::Pass {
+                        order: scratch.order.clone(),
+                    });
+                }
+                Ok(())
+            }
             Err(remaining) => {
                 outcome.stats.violations += 1;
                 let cycle = extract_cycle(spec, obs, &remaining);
+                if certify {
+                    outcome.certificates.push(crate::Certificate::Fail {
+                        cycle: cycle.clone(),
+                    });
+                }
                 Err(violation_from_cycle(spec, cycle))
             }
         };
@@ -270,41 +295,6 @@ pub fn check_conventional(spec: &TestGraphSpec, observations: &[ObservedEdges]) 
         outcome.stats.graphs += 1;
     }
     outcome
-}
-
-/// Certified form of [`check_conventional`]: identical verdicts, stats and
-/// cycles, plus a [`Certificate`](crate::Certificate) witnessing each
-/// graph's verdict — the produced topological order for PASS (materialized
-/// by every sort anyway, previously discarded) or the extracted cycle for
-/// FAIL.
-pub fn check_conventional_certified(
-    spec: &TestGraphSpec,
-    observations: &[ObservedEdges],
-) -> (CheckOutcome, Vec<crate::Certificate>) {
-    let mut outcome = CheckOutcome::default();
-    let mut certificates = Vec::with_capacity(observations.len());
-    let mut scratch = SortScratch::default();
-    for obs in observations {
-        let result = match full_sort_into(spec, obs, &mut outcome.stats.work, &mut scratch) {
-            Ok(()) => {
-                certificates.push(crate::Certificate::Pass {
-                    order: scratch.order.clone(),
-                });
-                Ok(())
-            }
-            Err(remaining) => {
-                outcome.stats.violations += 1;
-                let cycle = extract_cycle(spec, obs, &remaining);
-                certificates.push(crate::Certificate::Fail {
-                    cycle: cycle.clone(),
-                });
-                Err(violation_from_cycle(spec, cycle))
-            }
-        };
-        outcome.results.push(result);
-        outcome.stats.graphs += 1;
-    }
-    (outcome, certificates)
 }
 
 #[cfg(test)]
@@ -332,7 +322,7 @@ mod tests {
         let (p, spec) = corr_spec();
         // Both loads read the store: fine.
         let o = obs(&p, &spec, &[(1, 0, 1), (1, 1, 1)]);
-        let outcome = check_conventional(&spec, &[o]);
+        let outcome = check_conventional(&spec, &[o], false);
         assert_eq!(outcome.results, vec![Ok(())]);
         assert_eq!(outcome.stats.graphs, 1);
         assert!(outcome.stats.work > 0);
@@ -344,7 +334,7 @@ mod tests {
         // First load reads the store, second reads init: rf(st,l1),
         // po(l1,l2), fr(l2,st) — the Figure 13 shape.
         let o = obs(&p, &spec, &[(1, 0, 1), (1, 1, 0)]);
-        let outcome = check_conventional(&spec, &[o]);
+        let outcome = check_conventional(&spec, &[o], false);
         assert_eq!(outcome.violation_count(), 1);
         let violation = outcome.results[0].as_ref().unwrap_err();
         assert_eq!(violation.cycle.len(), 3);
@@ -374,7 +364,7 @@ mod tests {
         for (mcm, expect_violation) in [(Mcm::Sc, true), (Mcm::Tso, false)] {
             let spec = TestGraphSpec::new(&t.program, mcm);
             let o = obs(&t.program, &spec, &[(0, 1, 0), (1, 1, 0)]);
-            let outcome = check_conventional(&spec, &[o]);
+            let outcome = check_conventional(&spec, &[o], false);
             assert_eq!(
                 outcome.violation_count() == 1,
                 expect_violation,
@@ -387,8 +377,8 @@ mod tests {
     fn work_scales_with_graph_count() {
         let (p, spec) = corr_spec();
         let o = obs(&p, &spec, &[(1, 0, 1), (1, 1, 1)]);
-        let one = check_conventional(&spec, std::slice::from_ref(&o));
-        let three = check_conventional(&spec, &[o.clone(), o.clone(), o]);
+        let one = check_conventional(&spec, std::slice::from_ref(&o), false);
+        let three = check_conventional(&spec, &[o.clone(), o.clone(), o], false);
         assert_eq!(three.stats.work, 3 * one.stats.work);
     }
 }

@@ -1006,7 +1006,7 @@ mod tests {
         let spec = TestGraphSpec::new(&t.program, mtc_isa::Mcm::Weak);
         let obs = spec.observe(&t.program, &rf, &CheckOptions::default());
         assert_eq!(
-            check_conventional(&spec, &[obs]).violation_count(),
+            check_conventional(&spec, &[obs], false).violation_count(),
             1,
             "the MCA checker flags the nMCA-legal fenced-IRIW outcome"
         );
@@ -1033,7 +1033,7 @@ mod tests {
                 spec.observe(&p, &rf, &CheckOptions::default())
             })
             .collect();
-        let outcome = check_conventional(&spec, &observations);
+        let outcome = check_conventional(&spec, &observations, false);
         assert_eq!(
             outcome.violation_count(),
             0,

@@ -28,7 +28,7 @@ fn main() {
     rf.record(OpId::new(Tid(1), 0), Value(1)); // first load sees the store
     rf.record(OpId::new(Tid(1), 1), Value::INIT); // second load reads older: violation
     let obs = spec.observe(&corr.program, &rf, &CheckOptions::default());
-    let outcome = check_conventional(&spec, std::slice::from_ref(&obs));
+    let outcome = check_conventional(&spec, std::slice::from_ref(&obs), false);
     let violation = outcome.results[0]
         .as_ref()
         .expect_err("anti-coherent CoRR observation must be cyclic");

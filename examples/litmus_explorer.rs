@@ -38,7 +38,7 @@ fn main() {
                 .iter()
                 .map(|rf| spec.observe(&test.program, rf, &CheckOptions::default()))
                 .collect();
-            let outcome = check_conventional(&spec, &observations);
+            let outcome = check_conventional(&spec, &observations, false);
 
             println!(
                 "  {mcm:>4}: {:>3} allowed outcomes, {:>3} observed, {} outside the model, {} checker violations",

@@ -13,7 +13,7 @@
 
 use mtracecheck::certify::verify_verdict;
 use mtracecheck::graph::{
-    check_conventional_certified, Certificate, CheckOptions, ObservedEdges, TestGraphSpec,
+    check_conventional, Certificate, CheckOptions, ObservedEdges, TestGraphSpec,
 };
 use mtracecheck::isa::{litmus, IsaKind, Mcm};
 use mtracecheck::sim::{enumerate_outcomes, Simulator, SystemConfig};
@@ -132,8 +132,8 @@ proptest! {
                 spec.observe(&program, &rf, &CheckOptions::default())
             })
             .collect();
-        let (outcome, certs) = check_conventional_certified(&spec, &observations);
-        for ((obs, result), cert) in observations.iter().zip(&outcome.results).zip(&certs) {
+        let outcome = check_conventional(&spec, &observations, true);
+        for ((obs, result), cert) in observations.iter().zip(&outcome.results).zip(&outcome.certificates) {
             let survivors = surviving_mutations(&spec, obs, cert, result.is_err());
             prop_assert!(survivors.is_empty(), "accepted mutations: {survivors:?}");
         }
@@ -154,8 +154,12 @@ fn mutated_fail_certificates_are_rejected() {
                 .into_iter()
                 .map(|rf| spec.observe(&test.program, &rf, &CheckOptions::default()))
                 .collect();
-            let (outcome, certs) = check_conventional_certified(&spec, &observations);
-            for ((obs, result), cert) in observations.iter().zip(&outcome.results).zip(&certs) {
+            let outcome = check_conventional(&spec, &observations, true);
+            for ((obs, result), cert) in observations
+                .iter()
+                .zip(&outcome.results)
+                .zip(&outcome.certificates)
+            {
                 if result.is_err() {
                     fail_certs += 1;
                 }

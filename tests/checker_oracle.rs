@@ -1,10 +1,10 @@
 //! Differential checker-oracle suite: a slow, obviously-correct reference
 //! checker (naive per-graph DFS cycle detection over plain edge lists) is
-//! run against every production checker entry point — `check_conventional`,
-//! `check_collective`, `check_collective_split`, `check_collective_chunked`
-//! and the streaming `CollectiveChecker` — on proptest-generated
-//! `(program, Mcm, ReadsFrom)` triples, asserting identical verdicts,
-//! consistent stats, and diagnosable cycles.
+//! run against every production checker entry point — `check_conventional`
+//! and `CollectiveChecker` (single and split windows, whole-slice, chunked,
+//! pushed one graph at a time, and pushed as a running delta) — on
+//! proptest-generated `(program, Mcm, ReadsFrom)` triples, asserting
+//! identical verdicts, consistent stats, and diagnosable cycles.
 //!
 //! The reference checker shares *no* code with the hot path: it folds the
 //! spec's static successors and the observation's edge pairs into a fresh
@@ -15,8 +15,8 @@
 //! CI runs this suite with `PROPTEST_CASES=1024`.
 
 use mtracecheck::graph::{
-    check_collective, check_collective_chunked, check_collective_split, check_conventional,
-    classify_cycle, explain_violation, CheckOptions, CollectiveChecker, EdgeReason, ObservedEdges,
+    check_conventional, classify_cycle, even_chunk_lengths, explain_violation, CheckOptions,
+    CollectiveChecker, CollectiveOutcome, DeltaObservations, EdgeReason, ObservedEdges,
     TestGraphSpec,
 };
 use mtracecheck::isa::{IsaKind, Mcm, OpId, Program, ReadsFrom, Value};
@@ -67,6 +67,78 @@ fn reference_has_cycle(spec: &TestGraphSpec, obs: &ObservedEdges) -> bool {
     false
 }
 
+fn check_single(spec: &TestGraphSpec, observations: &[ObservedEdges]) -> CollectiveOutcome {
+    CollectiveChecker::new(spec).check_all(observations, false)
+}
+
+/// The chunk plan a chunked campaign runs: `chunks` consecutive near-equal
+/// slices, each checked by a fresh checker, outcomes concatenated.
+fn check_chunked(
+    spec: &TestGraphSpec,
+    observations: &[ObservedEdges],
+    chunks: usize,
+) -> CollectiveOutcome {
+    let mut rest = observations;
+    even_chunk_lengths(observations.len(), chunks)
+        .into_iter()
+        .map(|len| {
+            let (chunk, tail) = rest.split_at(len);
+            rest = tail;
+            CollectiveChecker::new(spec).check_all(chunk, false)
+        })
+        .collect()
+}
+
+/// `push` and `push_delta` share one incremental body: fed the same
+/// sequence — as materialized edge sets, and as a running add/remove
+/// delta — they must agree on every verdict, FAIL cycle, certificate byte
+/// and stat, under both window modes.
+fn assert_push_forms_agree(
+    spec: &TestGraphSpec,
+    observations: &[ObservedEdges],
+) -> Result<(), String> {
+    for split in [false, true] {
+        let fresh = || {
+            let checker = CollectiveChecker::new(spec);
+            if split {
+                checker.with_split_windows()
+            } else {
+                checker
+            }
+        };
+        let mut reference = fresh();
+        let mut delta_checker = fresh();
+        let mut set = DeltaObservations::new(spec.num_vertices());
+        let mut prev = ObservedEdges::default();
+        for (i, obs) in observations.iter().enumerate() {
+            set.begin();
+            for (u, v) in prev.difference(obs) {
+                set.remove(u, v);
+            }
+            for (u, v) in obs.difference(&prev) {
+                set.add(u, v);
+            }
+            prev.clone_from(obs);
+            prop_assert_eq!(
+                reference.push(obs),
+                delta_checker.push_delta(&set),
+                "graph {} verdict (split={})",
+                i,
+                split
+            );
+            prop_assert_eq!(
+                reference.last_certificate().map(|c| c.to_bytes()),
+                delta_checker.last_certificate().map(|c| c.to_bytes()),
+                "graph {} certificate (split={})",
+                i,
+                split
+            );
+        }
+        prop_assert_eq!(reference.stats(), delta_checker.stats(), "split={}", split);
+    }
+    Ok(())
+}
+
 /// Run every production entry point on the same observation sequence and
 /// assert each one's per-graph verdicts equal the reference checker's.
 fn assert_all_checkers_match_reference(
@@ -81,11 +153,12 @@ fn assert_all_checkers_match_reference(
         .collect();
     let expected_violations = expected.iter().filter(|&&c| c).count();
 
-    let conventional = check_conventional(spec, observations);
-    let collective = check_collective(spec, observations);
-    let split = check_collective_split(spec, observations);
-    let chunked =
-        check_collective_chunked(spec, observations, 3, false).expect("chunk workers never panic");
+    let conventional = check_conventional(spec, observations, false);
+    let collective = check_single(spec, observations);
+    let split = CollectiveChecker::new(spec)
+        .with_split_windows()
+        .check_all(observations, false);
+    let chunked = check_chunked(spec, observations, 3);
 
     for (label, results) in [
         ("conventional", &conventional.results),
@@ -140,6 +213,8 @@ fn assert_all_checkers_match_reference(
         );
     }
 
+    assert_push_forms_agree(spec, observations)?;
+
     // Every reported cycle must diagnose: one classified edge per cycle
     // vertex, at least one re-derivable reason (a fully-`??` cycle would
     // mean the diagnosis machinery lost the observation), and the
@@ -187,8 +262,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Simulator-produced (legal) observations plus random (mostly
-    /// illegal) ones, across all three models and both ISAs: all five
-    /// checker entry points agree with the reference DFS on every graph.
+    /// illegal) ones, across all three models and both ISAs: every
+    /// checker entry point agrees with the reference DFS on every graph.
     #[test]
     fn checkers_agree_with_reference_dfs(
         seed in any::<u64>(),
@@ -276,7 +351,7 @@ proptest! {
         // Identical graphs hit exactly one of two regimes: acyclic repeats
         // all take the no-resort fast path after one full sort; a cyclic
         // repeat forces a recovery full sort on every push.
-        let collective = check_collective(&spec, &observations);
+        let collective = check_single(&spec, &observations);
         prop_assert_eq!(collective.stats.resorted_vertices, 0);
         if reference_has_cycle(&spec, &observations[0]) {
             prop_assert_eq!(collective.stats.complete, copies);
@@ -298,19 +373,21 @@ fn empty_observation_set() {
     let spec = TestGraphSpec::new(&program, test.mcm);
     let observations: Vec<ObservedEdges> = Vec::new();
 
-    let conventional = check_conventional(&spec, &observations);
+    let conventional = check_conventional(&spec, &observations, false);
     assert_eq!(conventional.results.len(), 0);
     assert_eq!(conventional.stats.graphs, 0);
     assert_eq!(conventional.stats.violations, 0);
 
-    let collective = check_collective(&spec, &observations);
+    let collective = check_single(&spec, &observations);
     assert_eq!(collective.results.len(), 0);
     assert_eq!(collective.stats.graphs, 0);
 
-    let split = check_collective_split(&spec, &observations);
+    let split = CollectiveChecker::new(&spec)
+        .with_split_windows()
+        .check_all(&observations, false);
     assert_eq!(split.results.len(), 0);
 
-    let chunked = check_collective_chunked(&spec, &observations, 4, false).expect("no panic");
+    let chunked = check_chunked(&spec, &observations, 4);
     assert_eq!(chunked.results.len(), 0);
     assert_eq!(chunked.stats.graphs, 0);
 

@@ -1,8 +1,10 @@
 //! End-to-end tests of the `mtracecheck` command-line tool, driving the
 //! compiled binary as a user would.
 
-use std::path::PathBuf;
 use std::process::{Command, Output};
+
+mod common;
+use common::temp_dir;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mtracecheck"))
@@ -14,12 +16,6 @@ fn run(args: &[&str]) -> Output {
 
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mtracecheck-cli-{name}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
 }
 
 #[test]

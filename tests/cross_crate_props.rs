@@ -1,7 +1,7 @@
 //! Cross-crate property tests: the invariants that tie the simulator,
 //! instrumentation and checkers together.
 
-use mtracecheck::graph::{check_collective, check_conventional, CheckOptions, TestGraphSpec};
+use mtracecheck::graph::{check_conventional, CheckOptions, CollectiveChecker, TestGraphSpec};
 use mtracecheck::instr::{analyze, SignatureSchema, SourcePruning};
 use mtracecheck::isa::{IsaKind, OpId, ReadsFrom, Value};
 use mtracecheck::sim::{Simulator, SystemConfig};
@@ -64,7 +64,7 @@ proptest! {
                 spec.observe(&program, &rf, &CheckOptions::default())
             })
             .collect();
-        let outcome = check_conventional(&spec, &observations);
+        let outcome = check_conventional(&spec, &observations, false);
         prop_assert_eq!(outcome.violation_count(), 0);
     }
 
@@ -112,8 +112,8 @@ proptest! {
             .map(|rf| spec.observe(&program, rf, &CheckOptions::default()))
             .collect();
 
-        let collective = check_collective(&spec, &observations);
-        let conventional = check_conventional(&spec, &observations);
+        let collective = CollectiveChecker::new(&spec).check_all(&observations, false);
+        let conventional = check_conventional(&spec, &observations, false);
         prop_assert_eq!(collective.results.len(), conventional.results.len());
         for (i, (a, b)) in collective
             .results
@@ -164,32 +164,41 @@ proptest! {
 /// observation on a generated test (not just litmus shapes).
 #[test]
 fn synthetic_violation_is_flagged() {
-    let test = TestConfig::new(IsaKind::X86, 2, 10, 2).with_seed(99);
-    let program = generate(&test);
+    // Needs two same-address loads in one thread (the second with no own
+    // store before it) and a remote store to that address; claim the first
+    // read the store and the second read init. Not every generated test has
+    // the shape, so take the first seed in a fixed range that does — the
+    // test stays pinned to one program without depending on which one the
+    // generator's random stream yields for a particular seed.
+    let (test, program, (l1, l2, store)) = (0..200u64)
+        .find_map(|seed| {
+            let test = TestConfig::new(IsaKind::X86, 2, 10, 2).with_seed(seed);
+            let program = generate(&test);
+            let shape = program
+                .iter_ops()
+                .filter(|(_, i)| i.is_load())
+                .flat_map(|l1| {
+                    program
+                        .iter_ops()
+                        .filter(|(_, i)| i.is_load())
+                        .map(move |l2| (l1, l2))
+                })
+                .find_map(|((l1, i1), (l2, i2))| {
+                    if l1.tid != l2.tid || l1.idx >= l2.idx || i1.addr() != i2.addr() {
+                        return None;
+                    }
+                    if program.last_own_store_before(l2).is_some() {
+                        return None;
+                    }
+                    let addr = i1.addr().expect("loads have addresses");
+                    let (_, id) = program.stores_to(addr).find(|(op, _)| op.tid != l1.tid)?;
+                    Some((l1, l2, id))
+                })?;
+            Some((test, program, shape))
+        })
+        .expect("some seed in 0..200 produces the load/load/store shape");
     let spec = TestGraphSpec::new(&program, test.mcm);
 
-    // Find two same-address loads in one thread and a remote store to that
-    // address; claim the first read the store and the second read init.
-    let mut candidate = None;
-    'outer: for (l1, i1) in program.iter_ops().filter(|(_, i)| i.is_load()) {
-        for (l2, i2) in program.iter_ops().filter(|(_, i)| i.is_load()) {
-            if l1.tid == l2.tid && l1.idx < l2.idx && i1.addr() == i2.addr() {
-                let addr = i1.addr().expect("loads have addresses");
-                if program.last_own_store_before(l2).is_some() {
-                    continue;
-                }
-                if let Some((_, id)) = program.stores_to(addr).find(|(op, _)| op.tid != l1.tid) {
-                    candidate = Some((l1, l2, id));
-                    break 'outer;
-                }
-            }
-        }
-    }
-    let Some((l1, l2, store)) = candidate else {
-        // Seed 99 is known to contain the shape; if generation ever
-        // changes, fail loudly so the seed can be re-picked.
-        panic!("seed no longer produces the required load/load/store shape");
-    };
     let mut rf = ReadsFrom::new();
     for load in program.loads() {
         // Fill every other load with a benign own-thread/init value.
@@ -202,7 +211,7 @@ fn synthetic_violation_is_flagged() {
     rf.record(l1, Value::from(store));
     rf.record(l2, Value::INIT);
     let obs = spec.observe(&program, &rf, &CheckOptions::default());
-    let outcome = check_conventional(&spec, &[obs]);
+    let outcome = check_conventional(&spec, &[obs], false);
     assert_eq!(
         outcome.violation_count(),
         1,

@@ -15,9 +15,8 @@
 //! ```
 
 use mtracecheck::graph::{
-    check_collective, check_collective_certified, check_collective_chunked, check_collective_split,
-    check_conventional, check_conventional_certified, explain_violation, CheckOptions,
-    CollectiveChecker, TestGraphSpec, Violation,
+    check_conventional, even_chunk_lengths, explain_violation, CheckOptions, CollectiveChecker,
+    CollectiveOutcome, TestGraphSpec, Violation,
 };
 use mtracecheck::isa::{litmus, Mcm, ReadsFrom};
 use mtracecheck::sim::enumerate_outcomes;
@@ -86,7 +85,7 @@ fn render_corpus() -> String {
                 spec.num_static_edges()
             );
 
-            let conventional = check_conventional(&spec, &observations);
+            let conventional = check_conventional(&spec, &observations, false);
             let cs = conventional.stats;
             let _ = writeln!(
                 out,
@@ -99,7 +98,7 @@ fn render_corpus() -> String {
                 }
             }
 
-            let collective = check_collective(&spec, &observations);
+            let collective = CollectiveChecker::new(&spec).check_all(&observations, false);
             let ks = collective.stats;
             let _ = writeln!(
                 out,
@@ -120,7 +119,9 @@ fn render_corpus() -> String {
                 }
             }
 
-            let split = check_collective_split(&spec, &observations);
+            let split = CollectiveChecker::new(&spec)
+                .with_split_windows()
+                .check_all(&observations, false);
             let ss = split.stats;
             let _ =
                 writeln!(
@@ -130,8 +131,15 @@ fn render_corpus() -> String {
                 ss.work
             );
 
-            let chunked =
-                check_collective_chunked(&spec, &observations, 3, false).expect("no panics");
+            let mut rest = &observations[..];
+            let chunked: CollectiveOutcome = even_chunk_lengths(observations.len(), 3)
+                .into_iter()
+                .map(|len| {
+                    let (chunk, tail) = rest.split_at(len);
+                    rest = tail;
+                    CollectiveChecker::new(&spec).check_all(chunk, false)
+                })
+                .collect();
             let hs = chunked.stats;
             let _ = writeln!(
                 out,
@@ -152,12 +160,17 @@ fn render_corpus() -> String {
             // differ). Every certificate is replayed through the
             // independent verifier before it is pinned, so a fixture line
             // is both a byte-stability pin and a verified witness.
-            let (conv_cert, conv_certs) = check_conventional_certified(&spec, &observations);
+            let conv_cert = check_conventional(&spec, &observations, true);
             assert_eq!(
                 conv_cert.results, conventional.results,
                 "certified conventional check must not change verdicts"
             );
-            for (i, (result, cert)) in conv_cert.results.iter().zip(&conv_certs).enumerate() {
+            for (i, (result, cert)) in conv_cert
+                .results
+                .iter()
+                .zip(&conv_cert.certificates)
+                .enumerate()
+            {
                 mtracecheck::certify::verify_verdict(
                     &spec,
                     &observations[i],
@@ -167,12 +180,17 @@ fn render_corpus() -> String {
                 .expect("golden conventional certificate verifies");
                 let _ = writeln!(out, "cert-conventional[{i}]: {}", hex(&cert.to_bytes()));
             }
-            let (coll_cert, coll_certs) = check_collective_certified(&spec, &observations, false);
+            let coll_cert = CollectiveChecker::new(&spec).check_all(&observations, true);
             assert_eq!(
                 coll_cert.results, collective.results,
                 "certified collective check must not change verdicts"
             );
-            for (i, (result, cert)) in coll_cert.results.iter().zip(&coll_certs).enumerate() {
+            for (i, (result, cert)) in coll_cert
+                .results
+                .iter()
+                .zip(&coll_cert.certificates)
+                .enumerate()
+            {
                 mtracecheck::certify::verify_verdict(
                     &spec,
                     &observations[i],
@@ -252,7 +270,7 @@ fn golden_corpus_is_not_vacuous() {
         for mcm in Mcm::ALL {
             let spec = TestGraphSpec::new(&test.program, mcm);
             let (_, observations) = corpus_observations(&test.program, &spec);
-            let outcome = check_conventional(&spec, &observations);
+            let outcome = check_conventional(&spec, &observations, false);
             total_graphs += outcome.stats.graphs;
             total_violations += outcome.stats.violations;
         }

@@ -25,20 +25,12 @@ use mtracecheck::{
     frame_line, Campaign, CampaignConfig, CampaignJournal, FirstSeen, MemoryBudget, SignatureStore,
     TestConfig,
 };
-use std::path::PathBuf;
+
+mod common;
+use common::temp_dir;
 
 fn serde_is_stubbed() -> bool {
     serde_json::to_string(&0u32).is_err()
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "mtracecheck-integrity-{name}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
 }
 
 /// A framed JSONL log, the shape of both campaign journals and

@@ -45,7 +45,7 @@ fn simulator_within_oracle_and_checker_accepts_oracle() {
                 .iter()
                 .map(|rf| spec.observe(&test.program, rf, &CheckOptions::default()))
                 .collect();
-            let outcome = check_conventional(&spec, &observations);
+            let outcome = check_conventional(&spec, &observations, false);
             assert_eq!(
                 outcome.violation_count(),
                 0,
@@ -72,7 +72,7 @@ fn allowed_outcome_sets_nest_by_strength() {
 fn check_one(program: &mtracecheck::isa::Program, mcm: Mcm, rf: &ReadsFrom) -> bool {
     let spec = TestGraphSpec::new(program, mcm);
     let obs = spec.observe(program, rf, &CheckOptions::default());
-    check_conventional(&spec, &[obs]).violation_count() == 0
+    check_conventional(&spec, &[obs], false).violation_count() == 0
 }
 
 /// The checker flags the canonical forbidden outcomes of each litmus test

@@ -12,8 +12,10 @@ use mtracecheck::telemetry::validate_metrics_text;
 use mtracecheck::{Campaign, CampaignJournal, RetryPolicy, TestConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::time::Duration;
+
+mod common;
+use common::temp_dir;
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 const DEADLINE: Duration = Duration::from_secs(120);
@@ -41,12 +43,6 @@ fn strip_footer(journal: &str) -> String {
         .filter(|line| !line.contains("\"Footer\""))
         .map(|line| format!("{line}\n"))
         .collect()
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mtc-service-{name}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
 }
 
 /// The single-machine journal the distributed one must reproduce.

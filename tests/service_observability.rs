@@ -14,8 +14,10 @@ use mtracecheck::telemetry::{validate_events_text, validate_metrics_text, valida
 use mtracecheck::{Campaign, TestConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::time::Duration;
+
+mod common;
+use common::temp_dir;
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 const DEADLINE: Duration = Duration::from_secs(120);
@@ -32,12 +34,6 @@ fn worker(addr: &str, name: &str) -> WorkerOptions {
         exit_when_idle: true,
         ..WorkerOptions::default()
     }
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mtc-observe-{name}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
 }
 
 /// Raw HTTP GET returning (status, body) — used to exercise the `/events`

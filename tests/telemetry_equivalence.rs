@@ -14,14 +14,11 @@ use mtracecheck::{
     Campaign, CampaignConfig, CampaignJournal, ConfigReport, Telemetry, TelemetryConfig, TestConfig,
 };
 
+mod common;
+use common::temp_dir;
+
 fn serde_is_stubbed() -> bool {
     serde_json::to_string(&0u32).is_err()
-}
-
-fn temp_dir(label: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("mtracecheck-telemetry-eqv-{label}"));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
 }
 
 fn config() -> CampaignConfig {

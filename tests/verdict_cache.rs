@@ -13,16 +13,11 @@ use mtracecheck::instr::{analyze, ExecutionSignature, SignatureSchema, SourcePru
 use mtracecheck::isa::IsaKind;
 use mtracecheck::testgen::generate_suite;
 use mtracecheck::{read_certificates, Campaign, CampaignConfig, TestConfig};
-use std::path::PathBuf;
+
+mod common;
+use common::temp_dir;
 
 const TESTS: u64 = 3;
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mtc-verdict-cache-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
 
 fn base_config() -> CampaignConfig {
     let test = TestConfig::new(IsaKind::Arm, 2, 18, 8).with_seed(77);
@@ -34,7 +29,7 @@ fn base_config() -> CampaignConfig {
 #[test]
 fn warm_cache_reports_are_identical_at_every_worker_count() {
     for workers in [1usize, 2, 4] {
-        let dir = scratch_dir(&format!("w{workers}"));
+        let dir = temp_dir(&format!("w{workers}"));
         let certs = dir.join("run.certs");
         let cache = dir.join("run.cache");
         let config = || {
@@ -79,7 +74,7 @@ fn warm_cache_reports_are_identical_at_every_worker_count() {
 /// verifier against an independently rebuilt spec and decoded signature.
 #[test]
 fn emitted_certificates_verify_independently() {
-    let dir = scratch_dir("verify");
+    let dir = temp_dir("verify");
     let certs = dir.join("run.certs");
     let config = base_config().with_certificates(&certs);
     let report = Campaign::new(config.clone()).run();
@@ -114,7 +109,7 @@ fn emitted_certificates_verify_independently() {
 /// MCM-relevant configuration must not be served stale verdicts.
 #[test]
 fn cache_is_context_keyed() {
-    let dir = scratch_dir("ctx");
+    let dir = temp_dir("ctx");
     let cache = dir.join("shared.cache");
     let cold = Campaign::new(base_config().with_verdict_cache(&cache)).run();
     assert!(cold.cache.misses > 0);
