@@ -315,15 +315,28 @@ impl SignatureSchema {
     /// [`EncodeError::UnexpectedValue`] when a load observed a value outside
     /// its candidate set (the instrumented assertion fires);
     /// [`EncodeError::MissingLoad`] when the observation is incomplete.
+    ///
+    /// Slots are walked together with `observed`'s entries: both are in
+    /// `(tid, idx)` order, so each slot's value is found by advancing one
+    /// cursor rather than by a map lookup. Entries for ops that are not
+    /// slots are skipped; a slot out of that order (a hand-built or
+    /// deserialized schema) falls back to a lookup.
     pub fn encode(&self, observed: &ReadsFrom) -> Result<ExecutionSignature, EncodeError> {
         let mut words = Vec::with_capacity(self.total_words());
+        let mut entries = observed.iter().peekable();
+        let mut frontier: Option<OpId> = None;
         for thread in &self.threads {
             let base = words.len();
             words.resize(base + thread.num_words, 0u64);
             for slot in &thread.loads {
-                let value = observed
-                    .value_of(slot.op)
-                    .ok_or(EncodeError::MissingLoad { load: slot.op })?;
+                let value = if frontier.is_some_and(|f| slot.op <= f) {
+                    observed.value_of(slot.op)
+                } else {
+                    frontier = Some(slot.op);
+                    while entries.next_if(|&(op, _)| op < slot.op).is_some() {}
+                    entries.next_if(|&(op, _)| op == slot.op).map(|(_, v)| v)
+                }
+                .ok_or(EncodeError::MissingLoad { load: slot.op })?;
                 let index = slot.candidates.iter().position(|&c| c == value).ok_or(
                     EncodeError::UnexpectedValue {
                         load: slot.op,
@@ -752,6 +765,91 @@ mod tests {
             Err(EncodeError::UnexpectedValue {
                 load: OpId::new(Tid(0), 1),
                 value: Value::INIT
+            })
+        );
+    }
+
+    #[test]
+    fn missing_load_mid_thread_is_the_error() {
+        // T0.1 and T1.2 observed, T0.2 (between them) missing.
+        let p = figure3_program();
+        let s = schema_for(&p, 64);
+        let mut rf = ReadsFrom::new();
+        rf.record(OpId::new(Tid(0), 1), Value(1));
+        rf.record(OpId::new(Tid(1), 2), Value(2));
+        assert_eq!(
+            s.encode(&rf),
+            Err(EncodeError::MissingLoad {
+                load: OpId::new(Tid(0), 2)
+            })
+        );
+    }
+
+    #[test]
+    fn unexpected_value_before_a_missing_load_wins() {
+        // The first slot's assertion fires before the later slots are
+        // found missing: errors are reported in slot order.
+        let p = figure3_program();
+        let s = schema_for(&p, 64);
+        let mut rf = ReadsFrom::new();
+        rf.record(OpId::new(Tid(0), 1), Value::INIT);
+        assert_eq!(
+            s.encode(&rf),
+            Err(EncodeError::UnexpectedValue {
+                load: OpId::new(Tid(0), 1),
+                value: Value::INIT
+            })
+        );
+    }
+
+    #[test]
+    fn entries_that_are_not_slots_are_ignored() {
+        let p = figure3_program();
+        let s = schema_for(&p, 64);
+        let mut rf = ReadsFrom::new();
+        rf.record(OpId::new(Tid(0), 1), Value(1));
+        rf.record(OpId::new(Tid(0), 2), Value(5));
+        rf.record(OpId::new(Tid(1), 2), Value(2));
+        let plain = s.encode(&rf).unwrap();
+        // A store, a thread without loads, and ops past the program.
+        rf.record(OpId::new(Tid(0), 0), Value(9));
+        rf.record(OpId::new(Tid(1), 0), Value(7));
+        rf.record(OpId::new(Tid(2), 0), Value(3));
+        rf.record(OpId::new(Tid(9), 4), Value(1));
+        assert_eq!(s.encode(&rf).unwrap(), plain);
+    }
+
+    #[test]
+    fn out_of_order_slots_fall_back_to_lookups() {
+        // A hand-built schema whose slots are not in `(tid, idx)` order
+        // encodes exactly what per-slot lookups give.
+        let p = figure3_program();
+        let mut s = schema_for(&p, 64);
+        s.threads[0].loads.reverse();
+        s.threads.swap(0, 1);
+        let mut rf = ReadsFrom::new();
+        rf.record(OpId::new(Tid(0), 1), Value(1));
+        rf.record(OpId::new(Tid(0), 2), Value(5));
+        rf.record(OpId::new(Tid(1), 2), Value(2));
+        let mut expected = Vec::new();
+        for thread in &s.threads {
+            let base = expected.len();
+            expected.resize(base + thread.num_words, 0u64);
+            for slot in &thread.loads {
+                let v = rf.value_of(slot.op).unwrap();
+                let index = slot.candidates.iter().position(|&c| c == v).unwrap();
+                expected[base + slot.word] += index as u64 * slot.multiplier;
+            }
+        }
+        assert_eq!(s.encode(&rf).unwrap().words(), &expected[..]);
+        rf = rf
+            .iter()
+            .filter(|&(op, _)| op.tid != Tid(0) || op.idx != 1)
+            .collect();
+        assert_eq!(
+            s.encode(&rf),
+            Err(EncodeError::MissingLoad {
+                load: OpId::new(Tid(0), 1)
             })
         );
     }

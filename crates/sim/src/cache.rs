@@ -5,6 +5,16 @@
 //! validation framework observes: hit/miss latency, coherence transfers,
 //! shared-to-modified upgrades (bug 1's trigger window), invalidations of
 //! remote copies, and dirty writebacks on eviction (bug 3's racy `PUTX`).
+//!
+//! Coherence state lives in a per-line *directory* — a bitmask of the cores
+//! holding the line and a bitmask of the (at most one) core holding it
+//! modified — kept in lockstep with the per-core LRU sets: a core's bit is
+//! in `present[line]` exactly when the line sits in that core's set. A miss
+//! or upgrade therefore visits only the cores that actually hold the line,
+//! and [`CacheModel::peek_latency`] is two mask tests. The sets themselves
+//! only order replacement: entries keep insertion order (hits update the
+//! LRU stamp in place, removals close the gap), and the victim is the first
+//! entry with the smallest stamp.
 
 use crate::CacheConfig;
 
@@ -17,10 +27,9 @@ pub enum LineState {
     Modified,
 }
 
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, Default)]
 struct Entry {
     line: u32,
-    state: LineState,
     lru: u64,
 }
 
@@ -46,17 +55,39 @@ pub struct AccessOutcome {
 #[derive(Clone, Debug)]
 pub struct CacheModel {
     config: CacheConfig,
-    /// `cores[c][set]` is the entry list for one set of core `c`.
-    cores: Vec<Vec<Vec<Entry>>>,
+    ways: usize,
+    /// Set `s` of core `c` is `entries[(c * sets + s) * ways..][..len]`
+    /// with `len = set_len[c * sets + s]`.
+    entries: Vec<Entry>,
+    set_len: Vec<u32>,
+    /// `present[line]`: bit `c` set iff core `c`'s cache holds `line`.
+    present: Vec<u64>,
+    /// `modified[line]`: bit `c` set iff core `c` holds `line` modified
+    /// (a subset of `present[line]` with at most one bit).
+    modified: Vec<u64>,
 }
 
 impl CacheModel {
     /// Creates cold caches for `num_cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_cores` exceeds 64 (the directory's sharer masks are
+    /// one `u64` per line).
     pub fn new(config: CacheConfig, num_cores: usize) -> Self {
+        assert!(
+            num_cores <= 64,
+            "the cache directory tracks at most 64 cores, got {num_cores}"
+        );
         let sets = config.sets as usize;
+        let ways = config.ways as usize;
         CacheModel {
             config,
-            cores: vec![vec![Vec::new(); sets]; num_cores],
+            ways,
+            entries: vec![Entry::default(); num_cores * sets * ways],
+            set_len: vec![0; num_cores * sets],
+            present: Vec::new(),
+            modified: Vec::new(),
         }
     }
 
@@ -65,102 +96,135 @@ impl CacheModel {
         &self.config
     }
 
-    fn set_of(&self, line: u32) -> usize {
-        (line % self.config.sets) as usize
+    /// Index of core `core`'s set for `line` in `set_len`.
+    fn set_of(&self, core: usize, line: u32) -> usize {
+        core * self.config.sets as usize + (line % self.config.sets) as usize
+    }
+
+    /// The live entries of set `set`.
+    fn set_entries(&mut self, set: usize) -> &mut [Entry] {
+        let len = self.set_len[set] as usize;
+        &mut self.entries[set * self.ways..][..len]
+    }
+
+    /// Removes `line` from `core`'s set, keeping the other entries' order.
+    fn remove(&mut self, core: usize, line: u32) {
+        let set = self.set_of(core, line);
+        let entries = self.set_entries(set);
+        let i = entries
+            .iter()
+            .position(|e| e.line == line)
+            .expect("directory and sets agree");
+        entries.copy_within(i + 1.., i);
+        self.set_len[set] -= 1;
+    }
+
+    /// Removes `line` from every core in `cores`.
+    fn remove_from(&mut self, mut cores: u64, line: u32) {
+        while cores != 0 {
+            let c = cores.trailing_zeros() as usize;
+            cores &= cores - 1;
+            self.remove(c, line);
+        }
     }
 
     /// Performs an access by `core` to `line` and returns what happened.
     /// `tick` orders LRU decisions.
     pub fn access(&mut self, core: usize, line: u32, write: bool, tick: u64) -> AccessOutcome {
-        let set = self.set_of(line);
+        let l = line as usize;
+        if l >= self.present.len() {
+            self.present.resize(l + 1, 0);
+            self.modified.resize(l + 1, 0);
+        }
+        let me = 1u64 << core;
+        let set = self.set_of(core, line);
         let mut outcome = AccessOutcome::default();
 
-        // Local lookup.
-        let local_hit = self.cores[core][set].iter().position(|e| e.line == line);
-        if let Some(i) = local_hit {
+        // Local hit.
+        if self.present[l] & me != 0 {
             outcome.hit = true;
-            let entry = &mut self.cores[core][set][i];
+            let entry = self
+                .set_entries(set)
+                .iter_mut()
+                .find(|e| e.line == line)
+                .expect("directory and sets agree");
             entry.lru = tick;
-            if write && entry.state == LineState::Shared {
-                entry.state = LineState::Modified;
+            if write && self.modified[l] & me == 0 {
+                // S->M upgrade: invalidate every other sharer.
                 outcome.upgraded = true;
-                outcome.invalidated_remote = self.invalidate_others(core, line, set);
+                let others = self.present[l] & !me;
+                outcome.invalidated_remote = others != 0;
+                self.remove_from(others, line);
+                self.present[l] = me;
+                self.modified[l] = me;
             }
             return outcome;
         }
 
-        // Miss: consult remote cores.
-        for (c, caches) in self.cores.iter_mut().enumerate() {
-            if c == core {
-                continue;
-            }
-            if let Some(i) = caches[set].iter().position(|e| e.line == line) {
-                let remote = &mut caches[set][i];
-                if remote.state == LineState::Modified {
-                    outcome.remote_dirty = true;
-                }
-                if write {
-                    caches[set].remove(i);
-                    outcome.invalidated_remote = true;
-                } else {
-                    remote.state = LineState::Shared;
-                }
-            }
+        // Miss: only the cores in the directory hold remote copies.
+        let others = self.present[l];
+        outcome.remote_dirty = self.modified[l] != 0;
+        if write {
+            outcome.invalidated_remote = others != 0;
+            self.remove_from(others, line);
+            self.present[l] = 0;
         }
+        // A read downgrades a remote modified copy to shared; a write
+        // takes ownership below.
+        self.modified[l] = 0;
 
         // Insert locally, evicting LRU if the set is full.
-        let new_state = if write {
-            LineState::Modified
-        } else {
-            LineState::Shared
-        };
-        let set_entries = &mut self.cores[core][set];
-        if set_entries.len() >= self.config.ways as usize {
-            let victim = set_entries
+        if self.set_len[set] as usize >= self.ways {
+            let entries = self.set_entries(set);
+            let victim = entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.lru)
                 .map(|(i, _)| i)
                 .expect("full sets are non-empty");
-            let evicted = set_entries.remove(victim);
-            if evicted.state == LineState::Modified {
-                outcome.evicted_dirty = Some(evicted.line);
+            let evicted = entries[victim].line;
+            entries.copy_within(victim + 1.., victim);
+            self.set_len[set] -= 1;
+            let v = evicted as usize;
+            self.present[v] &= !me;
+            if self.modified[v] & me != 0 {
+                self.modified[v] = 0;
+                outcome.evicted_dirty = Some(evicted);
             }
         }
-        set_entries.push(Entry {
-            line,
-            state: new_state,
-            lru: tick,
-        });
+        let len = self.set_len[set] as usize;
+        self.entries[set * self.ways + len] = Entry { line, lru: tick };
+        self.set_len[set] += 1;
+        self.present[l] |= me;
+        if write {
+            self.modified[l] = me;
+        }
         outcome
     }
 
     /// Returns `true` when `core` holds `line` in the given state.
     pub fn holds(&self, core: usize, line: u32, state: LineState) -> bool {
-        let set = self.set_of(line);
-        self.cores[core][set]
-            .iter()
-            .any(|e| e.line == line && e.state == state)
+        let me = 1u64 << core;
+        let l = line as usize;
+        l < self.present.len()
+            && self.present[l] & me != 0
+            && (self.modified[l] & me != 0) == (state == LineState::Modified)
     }
 
     /// Estimates the latency of an access by `core` to `line` without
     /// performing it — used by the latency-driven out-of-order commit
     /// policy (a younger L1 hit overtakes an older miss).
     pub fn peek_latency(&self, core: usize, line: u32) -> u32 {
-        let set = self.set_of(line);
-        if self.cores[core][set].iter().any(|e| e.line == line) {
-            return self.config.hit_cycles;
+        let l = line as usize;
+        if l >= self.present.len() {
+            self.config.miss_cycles
+        } else if self.present[l] & (1u64 << core) != 0 {
+            self.config.hit_cycles
+        } else if self.modified[l] != 0 {
+            self.config.miss_cycles + self.config.coherence_cycles
+        } else {
+            self.config.miss_cycles
         }
-        for (c, caches) in self.cores.iter().enumerate() {
-            if c != core {
-                if let Some(e) = caches[set].iter().find(|e| e.line == line) {
-                    if e.state == LineState::Modified {
-                        return self.config.miss_cycles + self.config.coherence_cycles;
-                    }
-                }
-            }
-        }
-        self.config.miss_cycles
     }
 
     /// Cycles this access costs under the configured latencies.
@@ -173,25 +237,151 @@ impl CacheModel {
             self.config.miss_cycles
         }
     }
-
-    fn invalidate_others(&mut self, core: usize, line: u32, set: usize) -> bool {
-        let mut any = false;
-        for (c, caches) in self.cores.iter_mut().enumerate() {
-            if c == core {
-                continue;
-            }
-            if let Some(i) = caches[set].iter().position(|e| e.line == line) {
-                caches[set].remove(i);
-                any = true;
-            }
-        }
-        any
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The scan-based MSI model the directory replaced, kept verbatim as a
+    /// differential reference: every core's set is scanned on each miss,
+    /// upgrade and `peek_latency`.
+    struct ScanModel {
+        config: CacheConfig,
+        /// `cores[c][set]` is the `(line, state, lru)` list of one set.
+        cores: Vec<Vec<Vec<(u32, LineState, u64)>>>,
+    }
+
+    impl ScanModel {
+        fn new(config: CacheConfig, num_cores: usize) -> Self {
+            ScanModel {
+                config,
+                cores: vec![vec![Vec::new(); config.sets as usize]; num_cores],
+            }
+        }
+
+        fn access(&mut self, core: usize, line: u32, write: bool, tick: u64) -> AccessOutcome {
+            let set = (line % self.config.sets) as usize;
+            let mut outcome = AccessOutcome::default();
+            if let Some(i) = self.cores[core][set].iter().position(|e| e.0 == line) {
+                outcome.hit = true;
+                let entry = &mut self.cores[core][set][i];
+                entry.2 = tick;
+                if write && entry.1 == LineState::Shared {
+                    entry.1 = LineState::Modified;
+                    outcome.upgraded = true;
+                    for (c, caches) in self.cores.iter_mut().enumerate() {
+                        if c != core {
+                            if let Some(i) = caches[set].iter().position(|e| e.0 == line) {
+                                caches[set].remove(i);
+                                outcome.invalidated_remote = true;
+                            }
+                        }
+                    }
+                }
+                return outcome;
+            }
+            for (c, caches) in self.cores.iter_mut().enumerate() {
+                if c == core {
+                    continue;
+                }
+                if let Some(i) = caches[set].iter().position(|e| e.0 == line) {
+                    if caches[set][i].1 == LineState::Modified {
+                        outcome.remote_dirty = true;
+                    }
+                    if write {
+                        caches[set].remove(i);
+                        outcome.invalidated_remote = true;
+                    } else {
+                        caches[set][i].1 = LineState::Shared;
+                    }
+                }
+            }
+            let state = if write {
+                LineState::Modified
+            } else {
+                LineState::Shared
+            };
+            let entries = &mut self.cores[core][set];
+            if entries.len() >= self.config.ways as usize {
+                let victim = entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.2)
+                    .map(|(i, _)| i)
+                    .expect("full sets are non-empty");
+                let evicted = entries.remove(victim);
+                if evicted.1 == LineState::Modified {
+                    outcome.evicted_dirty = Some(evicted.0);
+                }
+            }
+            entries.push((line, state, tick));
+            outcome
+        }
+
+        fn holds(&self, core: usize, line: u32, state: LineState) -> bool {
+            let set = (line % self.config.sets) as usize;
+            self.cores[core][set]
+                .iter()
+                .any(|e| e.0 == line && e.1 == state)
+        }
+
+        fn peek_latency(&self, core: usize, line: u32) -> u32 {
+            let set = (line % self.config.sets) as usize;
+            if self.cores[core][set].iter().any(|e| e.0 == line) {
+                return self.config.hit_cycles;
+            }
+            let remote_dirty = self.cores.iter().enumerate().any(|(c, caches)| {
+                c != core
+                    && caches[set]
+                        .iter()
+                        .any(|e| e.0 == line && e.1 == LineState::Modified)
+            });
+            if remote_dirty {
+                self.config.miss_cycles + self.config.coherence_cycles
+            } else {
+                self.config.miss_cycles
+            }
+        }
+    }
+
+    proptest! {
+        /// The directory model is observationally identical to the
+        /// scan-based reference: same outcome for every access, and the
+        /// same `peek_latency` and `holds` answers for every core on the
+        /// touched line afterwards. Each stream runs on both cache
+        /// geometries with 1-8 cores, line ranges inside and beyond
+        /// capacity (evictions), and LRU ticks that restart like the
+        /// engine's per-run step counter (stamp ties decide victims).
+        #[test]
+        fn directory_matches_scan_reference(
+            cores in 1usize..9,
+            line_range in prop::sample::select(vec![4u32, 8, 12, 40, 300, 1500]),
+            tick_period in prop::sample::select(vec![3u64, 17, 60, 400, 1 << 40]),
+            stream in prop::collection::vec((0usize..64, 0u32..4096, any::<bool>()), 1..4000),
+        ) {
+            for config in [CacheConfig::l1_1k(), CacheConfig::l1_32k()] {
+                let mut dir = CacheModel::new(config, cores);
+                let mut scan = ScanModel::new(config, cores);
+                for (step, &(core, line, write)) in stream.iter().enumerate() {
+                    let (core, line) = (core % cores, line % line_range);
+                    let tick = step as u64 % tick_period + 1;
+                    prop_assert_eq!(dir.peek_latency(core, line), scan.peek_latency(core, line));
+                    prop_assert_eq!(
+                        dir.access(core, line, write, tick),
+                        scan.access(core, line, write, tick)
+                    );
+                    for c in 0..cores {
+                        prop_assert_eq!(dir.peek_latency(c, line), scan.peek_latency(c, line));
+                        for state in [LineState::Shared, LineState::Modified] {
+                            prop_assert_eq!(dir.holds(c, line, state), scan.holds(c, line, state));
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn tiny() -> CacheModel {
         CacheModel::new(CacheConfig::l1_1k(), 2)
@@ -276,6 +466,12 @@ mod tests {
                 "peek disagrees with access at tick {tick} (core {core}, line {line}, write {write})"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 cores")]
+    fn more_than_64_cores_is_rejected() {
+        let _ = CacheModel::new(CacheConfig::l1_1k(), 65);
     }
 
     #[test]

@@ -22,6 +22,22 @@
 //! and the eviction/upgrade events the §7 injected bugs race against, and
 //! a 2-bit branch predictor prices the instrumented signature chains
 //! (Figure 10).
+//!
+//! # Hot path
+//!
+//! [`Simulator::run`] is the test loop of every campaign, so the work that
+//! does not depend on the run is done once in [`Simulator::new`]: a per-op
+//! table holds each operation's cache line and a bitmask of the preceding
+//! operations the MCM orders before it, which turns the ready-set rule into
+//! mask tests over the uncommitted part of the window (windows wider than
+//! the mask consult `Mcm::orders` for the operations beyond it). Coherence
+//! contention is a bit test against a per-line mask of the threads whose
+//! uncommitted lookahead touches the line, refreshed only when that thread
+//! commits. Per-run state lives in the simulator and is reset, not
+//! reallocated, at the start of each run, and loaded values go to a dense
+//! per-load array from which the `ReadsFrom` is built once at the end. None
+//! of this changes a single random draw: the draw order is part of the
+//! determinism contract, pinned by the simulator golden fixture.
 
 use crate::memory::SimMemory;
 use crate::{BranchPredictor, BugKind, CacheModel, SchedulerKind, SimError, SystemConfig};
@@ -83,9 +99,46 @@ struct SpecEntry {
     stale: bool,
 }
 
+/// The cache line of a fence in the per-op table.
+const NO_LINE: u32 = u32::MAX;
+
+/// Width of the precomputed order masks: an op's mask covers the 64 ops
+/// before it in program order.
+const MASK_BITS: usize = 64;
+
+/// Run-independent facts about one operation, computed once per simulator.
 #[derive(Copy, Clone, Debug)]
-struct LoadMeta {
-    dense: usize,
+struct OpInfo {
+    /// Cache line accessed; [`NO_LINE`] for fences.
+    line: u32,
+    /// Bit `k` set iff the MCM orders op `idx - 1 - k` before this one.
+    /// Only the bits a reorder window can reach are computed.
+    ordered_after: u64,
+    /// Position in the run's dense load-value array (loads only).
+    load: u32,
+    /// Instrumented chain index (loads, once a schema is attached).
+    chain: Option<u32>,
+}
+
+/// Per-run state, kept in the simulator and reset at the start of every
+/// run instead of being reallocated.
+#[derive(Clone, Debug)]
+struct RunState {
+    committed: Vec<Vec<bool>>,
+    /// First uncommitted op of each thread.
+    oldest: Vec<usize>,
+    vtime: Vec<u64>,
+    instr_cycles: Vec<u64>,
+    spec: Vec<Vec<SpecEntry>>,
+    memory: SimMemory,
+    /// Value observed by each load, in `(tid, idx)` order.
+    values: Vec<Value>,
+    /// `lookahead[line]`: bit `u` set iff one of thread `u`'s next
+    /// `conflict_lookahead` ops from its oldest is uncommitted and touches
+    /// `line`.
+    lookahead: Vec<u64>,
+    ready: Vec<usize>,
+    runnable: Vec<usize>,
 }
 
 /// A simulated multi-core system executing one test program.
@@ -115,8 +168,10 @@ pub struct Simulator<'p> {
     config: SystemConfig,
     cache: CacheModel,
     predictor: Option<BranchPredictor>,
-    /// `load_meta[tid][idx]` for instrumented loads.
-    load_meta: Vec<Vec<Option<LoadMeta>>>,
+    /// `ops[tid][idx]`: the per-op table.
+    ops: Vec<Vec<OpInfo>>,
+    /// Every load, in `(tid, idx)` order (the order of `RunState::values`).
+    loads: Vec<OpId>,
     /// Candidate lists per dense load (schema order).
     candidates: Vec<Vec<Value>>,
     /// Signature words per thread (for epilogue timing).
@@ -126,6 +181,7 @@ pub struct Simulator<'p> {
     flush_overlay: bool,
     /// Record the commit order into [`Execution::trace`].
     record_trace: bool,
+    state: RunState,
 }
 
 impl<'p> Simulator<'p> {
@@ -133,24 +189,82 @@ impl<'p> Simulator<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if the program has no threads.
+    /// Panics if the program has no threads or more than 64.
     pub fn new(program: &'p Program, config: SystemConfig) -> Self {
         assert!(program.num_threads() > 0, "program must have threads");
         let cache = CacheModel::new(config.cache, program.num_threads());
+        let layout = program.layout();
+        let mcm = config.mcm;
+        // A window of `w` ops reaches at most `w - 1` ops back.
+        let reach = config
+            .scheduler
+            .reorder_window
+            .max(1)
+            .saturating_sub(1)
+            .min(MASK_BITS);
+        let mut loads = Vec::new();
+        let mut num_lines = 0usize;
+        let ops: Vec<Vec<OpInfo>> = program
+            .threads()
+            .iter()
+            .enumerate()
+            .map(|(t, code)| {
+                code.iter()
+                    .enumerate()
+                    .map(|(i, instr)| {
+                        let line = instr.addr().map_or(NO_LINE, |a| layout.line_of(a));
+                        if line != NO_LINE {
+                            num_lines = num_lines.max(line as usize + 1);
+                        }
+                        let ordered_after = (0..reach.min(i))
+                            .filter(|&k| mcm.orders(&code[i - 1 - k], instr))
+                            .fold(0u64, |mask, k| mask | 1 << k);
+                        let load = loads.len() as u32;
+                        if instr.is_load() {
+                            loads.push(OpId::new(Tid(t as u32), i as u32));
+                        }
+                        OpInfo {
+                            line,
+                            ordered_after,
+                            load,
+                            chain: None,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let t_count = program.num_threads();
+        let num_addrs = program.num_addrs() as usize;
+        let memory = match config.store_atomicity {
+            crate::StoreAtomicity::MultipleCopy => SimMemory::multiple_copy(num_addrs),
+            crate::StoreAtomicity::NonMultipleCopy {
+                max_propagation_cycles,
+            } => SimMemory::non_multiple_copy(num_addrs, max_propagation_cycles),
+        };
+        let state = RunState {
+            committed: ops.iter().map(|code| vec![false; code.len()]).collect(),
+            oldest: vec![0; t_count],
+            vtime: vec![0; t_count],
+            instr_cycles: vec![0; t_count],
+            spec: vec![Vec::new(); t_count],
+            memory,
+            values: vec![Value::INIT; loads.len()],
+            lookahead: vec![0; num_lines],
+            ready: Vec::new(),
+            runnable: Vec::new(),
+        };
         Simulator {
             program,
             config,
             cache,
             predictor: None,
-            load_meta: program
-                .threads()
-                .iter()
-                .map(|code| vec![None; code.len()])
-                .collect(),
+            ops,
+            loads,
             candidates: Vec::new(),
             words_per_thread: Vec::new(),
             flush_overlay: false,
             record_trace: false,
+            state,
         }
     }
 
@@ -161,14 +275,16 @@ impl<'p> Simulator<'p> {
         let mut chain_lengths = Vec::new();
         self.candidates.clear();
         self.words_per_thread.clear();
+        for info in self.ops.iter_mut().flatten() {
+            info.chain = None;
+        }
         for thread in schema.threads() {
             self.words_per_thread.push(thread.num_words);
             for slot in &thread.loads {
                 let dense = chain_lengths.len();
                 chain_lengths.push(slot.cardinality());
                 self.candidates.push(slot.candidates.clone());
-                self.load_meta[slot.op.tid.index()][slot.op.idx as usize] =
-                    Some(LoadMeta { dense });
+                self.ops[slot.op.tid.index()][slot.op.idx as usize].chain = Some(dense as u32);
             }
         }
         self.predictor = Some(BranchPredictor::new(&chain_lengths));
@@ -227,44 +343,65 @@ impl<'p> Simulator<'p> {
     /// coherence protocol; [`SimError::Livelock`] if the engine fails to
     /// make progress (a simulator defect, not a test outcome).
     pub fn run(&mut self, seed: u64) -> Result<Execution, SimError> {
-        let program = self.program;
-        let sched = self.config.scheduler;
-        let mcm = self.config.mcm;
-        let timing = self.config.timing;
-        let bug = self.config.bug;
-        let layout = program.layout();
-        let t_count = program.num_threads();
-        let lens: Vec<usize> = program.threads().iter().map(Vec::len).collect();
-        let total: usize = lens.iter().sum();
+        let Simulator {
+            program,
+            config,
+            cache,
+            predictor,
+            ops,
+            loads,
+            candidates,
+            words_per_thread,
+            flush_overlay,
+            record_trace,
+            state,
+        } = self;
+        let (program, ops, loads): (&Program, &[Vec<OpInfo>], &[OpId]) = (program, ops, loads);
+        let sched = config.scheduler;
+        let mcm = config.mcm;
+        let timing = config.timing;
+        let bug = config.bug;
+        let t_count = ops.len();
+        let total: usize = ops.iter().map(Vec::len).sum();
+        let window = sched.reorder_window.max(1);
+        let lookahead_len = sched.conflict_lookahead;
+        let RunState {
+            committed,
+            oldest,
+            vtime,
+            instr_cycles,
+            spec,
+            memory,
+            values,
+            lookahead,
+            ready,
+            runnable,
+        } = state;
 
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut committed: Vec<Vec<bool>> = lens.iter().map(|&n| vec![false; n]).collect();
-        let mut oldest = vec![0usize; t_count];
-        let mut memory = match self.config.store_atomicity {
-            crate::StoreAtomicity::MultipleCopy => {
-                SimMemory::multiple_copy(program.num_addrs() as usize)
-            }
-            crate::StoreAtomicity::NonMultipleCopy {
-                max_propagation_cycles,
-            } => SimMemory::non_multiple_copy(program.num_addrs() as usize, max_propagation_cycles),
-        };
-        let mut spec: Vec<Vec<SpecEntry>> = vec![Vec::new(); t_count];
+        committed.iter_mut().for_each(|c| c.fill(false));
+        oldest.fill(0);
+        instr_cycles.fill(0);
+        spec.iter_mut().for_each(Vec::clear);
+        memory.reset();
+        lookahead.fill(0);
+        for (t, code) in ops.iter().enumerate() {
+            refresh_lookahead(lookahead, code, &committed[t], t, 0, 0, lookahead_len);
+        }
         // Barrier-release skew: each core gets a random head start, which
         // selects this run's racing access pairs.
-        let mut vtime: Vec<u64> = (0..t_count)
-            .map(|_| rng.gen_range(0..=sched.barrier_skew_cycles) as u64)
-            .collect();
-        let mut instr_cycles = vec![0u64; t_count];
+        for v in vtime.iter_mut() {
+            *v = rng.gen_range(0..=sched.barrier_skew_cycles) as u64;
+        }
         let mut stats = ExecStats::default();
-        let mut exec = ReadsFrom::new();
         let mut trace = Vec::new();
-        if self.record_trace {
+        if *record_trace {
             trace.reserve(total);
         }
         let mut last_thread = usize::MAX;
         let mut step = 0u64;
         let mut done = 0usize;
-        let max_steps = (total as u64 + 1).saturating_mul(self.config.max_steps_per_op);
+        let max_steps = (total as u64 + 1).saturating_mul(config.max_steps_per_op);
 
         while done < total {
             step += 1;
@@ -277,13 +414,13 @@ impl<'p> Simulator<'p> {
             // picks uniformly instead.
             let t = match sched.kind {
                 SchedulerKind::UniformRandom => {
-                    let runnable: Vec<usize> =
-                        (0..t_count).filter(|&t| oldest[t] < lens[t]).collect();
+                    runnable.clear();
+                    runnable.extend((0..t_count).filter(|&u| oldest[u] < ops[u].len()));
                     runnable[rng.gen_range(0..runnable.len())]
                 }
                 SchedulerKind::Lockstep => (0..t_count)
-                    .filter(|&t| oldest[t] < lens[t])
-                    .min_by_key(|&t| vtime[t])
+                    .filter(|&u| oldest[u] < ops[u].len())
+                    .min_by_key(|&u| vtime[u])
                     .expect("some thread is unfinished while done < total"),
             };
             if t != last_thread {
@@ -293,19 +430,28 @@ impl<'p> Simulator<'p> {
                 last_thread = t;
             }
             let code = &program.threads()[t];
+            let info = &ops[t];
+            let len = info.len();
 
-            // Operation choice within the LSQ-like window.
-            let window_end = (oldest[t] + sched.reorder_window.max(1)).min(lens[t]);
-            let mut ready: Vec<usize> = Vec::with_capacity(4);
-            for i in oldest[t]..window_end {
-                if committed[t][i] {
-                    continue;
+            // Operation choice within the LSQ-like window: an op is ready
+            // unless an uncommitted earlier op in the window is ordered
+            // before it. `pending` bit `k` marks op `i - 1 - k` uncommitted.
+            let start = oldest[t];
+            let window_end = (start + window).min(len);
+            ready.clear();
+            let mut pending = 0u64;
+            for i in start..window_end {
+                let uncommitted = !committed[t][i];
+                if uncommitted {
+                    let blocked = pending & info[i].ordered_after != 0
+                        || (i - start > MASK_BITS
+                            && (start..i - MASK_BITS)
+                                .any(|j| !committed[t][j] && mcm.orders(&code[j], &code[i])));
+                    if !blocked {
+                        ready.push(i);
+                    }
                 }
-                let blocked =
-                    (oldest[t]..i).any(|j| !committed[t][j] && mcm.orders(&code[j], &code[i]));
-                if !blocked {
-                    ready.push(i);
-                }
+                pending = pending << 1 | u64::from(uncommitted);
             }
             debug_assert!(!ready.is_empty(), "oldest uncommitted op is always ready");
             // Out-of-order commit within the ready window. The primary
@@ -321,10 +467,10 @@ impl<'p> Simulator<'p> {
             } else if ready.len() > 1 {
                 let mut best = ready[0];
                 let mut best_latency = u32::MAX;
-                for &j in &ready {
-                    let latency = match code[j].addr() {
-                        Some(addr) => self.cache.peek_latency(t, layout.line_of(addr)),
-                        None => 0,
+                for &j in ready.iter() {
+                    let latency = match info[j].line {
+                        NO_LINE => 0,
+                        line => cache.peek_latency(t, line),
                     };
                     if latency < best_latency {
                         best = j;
@@ -338,14 +484,26 @@ impl<'p> Simulator<'p> {
 
             // Commit.
             committed[t][i] = true;
-            while oldest[t] < lens[t] && committed[t][oldest[t]] {
+            while oldest[t] < len && committed[t][oldest[t]] {
                 oldest[t] += 1;
             }
+            refresh_lookahead(
+                lookahead,
+                info,
+                &committed[t],
+                t,
+                start,
+                oldest[t],
+                lookahead_len,
+            );
             done += 1;
             stats.commits += 1;
-            if self.record_trace {
+            if *record_trace {
                 trace.push(OpId::new(Tid(t as u32), i as u32));
             }
+            // Another core's imminent ops also target the line: two cores
+            // pull on it concurrently (coherence contention).
+            let contended = |line: u32| lookahead[line as usize] & !(1u64 << t) != 0;
 
             let mut dt = timing.base_cycles as u64;
             match code[i] {
@@ -373,47 +531,38 @@ impl<'p> Simulator<'p> {
                             fwd.unwrap_or_else(|| memory.read(addr.index(), t, vtime[t]))
                         }
                     };
-                    exec.record(OpId::new(Tid(t as u32), i as u32), value);
+                    values[info[i].load as usize] = value;
 
-                    let line = layout.line_of(addr);
-                    let out = self.cache.access(t, line, false, step);
+                    let line = info[i].line;
+                    let out = cache.access(t, line, false, step);
                     if out.hit {
                         stats.cache_hits += 1;
                     } else {
                         stats.cache_misses += 1;
                     }
-                    dt += self.cache.latency(&out) as u64;
-                    if line_conflict(
-                        program,
-                        &committed,
-                        &oldest,
-                        &lens,
-                        sched.conflict_lookahead,
-                        t,
-                        line,
-                    ) {
+                    dt += cache.latency(&out) as u64;
+                    if contended(line) {
                         stats.contention_events += 1;
                         if sched.contention_backoff_cycles > 0 {
                             dt += rng.gen_range(0..=sched.contention_backoff_cycles) as u64;
                         }
                     }
-                    self.bug3_check(&mut rng, &out, t, &oldest, step)?;
+                    protocol_race(bug, &mut rng, &out, t, oldest, ops, step)?;
 
-                    if self.flush_overlay {
+                    if *flush_overlay {
                         // The flushed value's store: base cost plus an L1
                         // hit in the private log region.
-                        dt += timing.base_cycles as u64 + self.cache.config().hit_cycles as u64;
+                        dt += timing.base_cycles as u64 + cache.config().hit_cycles as u64;
                         stats.flush_stores += 1;
                     }
 
                     // Instrumented chain timing.
-                    if let (Some(meta), Some(pred)) =
-                        (self.load_meta[t][i], self.predictor.as_mut())
-                    {
-                        let cands = &self.candidates[meta.dense];
+                    if let (Some(chain), Some(pred)) = (info[i].chain, predictor.as_mut()) {
+                        let chain = chain as usize;
+                        let cands = &candidates[chain];
                         match cands.iter().position(|&c| c == value) {
                             Some(idx) => {
-                                instr_cycles[t] += pred.chain_cost(meta.dense, idx, &timing);
+                                instr_cycles[t] += pred.chain_cost(chain, idx, &timing);
                             }
                             None => {
                                 // Assertion path: the whole chain runs and
@@ -434,94 +583,81 @@ impl<'p> Simulator<'p> {
                         t_count,
                         &mut rng,
                     );
-                    let line = layout.line_of(addr);
+                    let line = info[i].line;
 
-                    // Invalidation traffic vs speculative loads.
-                    for (u, entries) in spec.iter_mut().enumerate() {
-                        if u == t {
-                            // Own same-address stores force re-execution at
-                            // commit (forwarding handles the value).
-                            let before = entries.len();
-                            entries.retain(|e| {
-                                code_addr(&program.threads()[u][e.idx as usize]) != Some(addr)
-                            });
-                            stats.spec_squashed += (before - entries.len()) as u64;
-                            continue;
-                        }
-                        let u_code = &program.threads()[u];
-                        let u_oldest = oldest[u];
-                        // Bug 1's race window is only open while the S->M
-                        // upgrade is in flight: the victim's *head* op is an
-                        // uncommitted store to the invalidated line.
-                        let pending_store_to_line = u_oldest < lens[u]
-                            && matches!(u_code[u_oldest], Instr::Store { addr: a, .. }
-                                if layout.line_of(a) == line);
-                        let mut squashed = 0u64;
-                        let mut stale = 0u64;
-                        for e in entries.iter_mut() {
-                            if e.stale {
+                    // Invalidation traffic vs speculative loads. Without a
+                    // load->load bug no load is ever performed early, so
+                    // every queue is empty and there is nothing to do.
+                    if bug.needs_speculation() {
+                        for (u, entries) in spec.iter_mut().enumerate() {
+                            if u == t {
+                                // Own same-address stores force re-execution
+                                // at commit (forwarding handles the value).
+                                let before = entries.len();
+                                entries.retain(|e| code[e.idx as usize].addr() != Some(addr));
+                                stats.spec_squashed += (before - entries.len()) as u64;
                                 continue;
                             }
-                            let e_addr = code_addr(&u_code[e.idx as usize])
-                                .expect("speculative entries are loads");
-                            if layout.line_of(e_addr) != line {
-                                continue;
-                            }
-                            let keep_stale = match bug {
-                                BugKind::LoadLoadLsq => true,
-                                // The invalidation must land within the
-                                // few-cycle window while the upgrade request
-                                // is outstanding.
-                                BugKind::LoadLoadCoherence => {
-                                    pending_store_to_line && rng.gen_bool(0.1)
+                            let u_info = &ops[u];
+                            let u_oldest = oldest[u];
+                            // Bug 1's race window is only open while the
+                            // S->M upgrade is in flight: the victim's *head*
+                            // op is an uncommitted store to the invalidated
+                            // line.
+                            let pending_store_to_line = u_oldest < u_info.len()
+                                && program.threads()[u][u_oldest].is_store()
+                                && u_info[u_oldest].line == line;
+                            let mut squashed = 0u64;
+                            for e in entries.iter_mut() {
+                                if e.stale || u_info[e.idx as usize].line != line {
+                                    continue;
                                 }
-                                _ => false,
-                            };
-                            if keep_stale {
-                                e.stale = true;
-                                stale += 1;
-                            } else {
-                                e.idx = u32::MAX; // mark for removal
-                                squashed += 1;
+                                let keep_stale = match bug {
+                                    BugKind::LoadLoadLsq => true,
+                                    // The invalidation must land within the
+                                    // few-cycle window while the upgrade
+                                    // request is outstanding.
+                                    BugKind::LoadLoadCoherence => {
+                                        pending_store_to_line && rng.gen_bool(0.1)
+                                    }
+                                    _ => false,
+                                };
+                                if keep_stale {
+                                    // Counted at commit via `spec_stale`.
+                                    e.stale = true;
+                                } else {
+                                    e.idx = u32::MAX; // mark for removal
+                                    squashed += 1;
+                                }
                             }
+                            if squashed > 0 {
+                                entries.retain(|e| e.idx != u32::MAX);
+                            }
+                            stats.spec_squashed += squashed;
                         }
-                        if squashed > 0 {
-                            entries.retain(|e| e.idx != u32::MAX);
-                        }
-                        stats.spec_squashed += squashed;
-                        let _ = stale; // counted at commit via spec_stale
                     }
 
-                    let out = self.cache.access(t, line, true, step);
+                    let out = cache.access(t, line, true, step);
                     if out.hit {
                         stats.cache_hits += 1;
                     } else {
                         stats.cache_misses += 1;
                     }
-                    dt += self.cache.latency(&out) as u64;
-                    if line_conflict(
-                        program,
-                        &committed,
-                        &oldest,
-                        &lens,
-                        sched.conflict_lookahead,
-                        t,
-                        line,
-                    ) {
+                    dt += cache.latency(&out) as u64;
+                    if contended(line) {
                         stats.contention_events += 1;
                         if sched.contention_backoff_cycles > 0 {
                             dt += rng.gen_range(0..=sched.contention_backoff_cycles) as u64;
                         }
                     }
-                    self.bug3_check(&mut rng, &out, t, &oldest, step)?;
+                    protocol_race(bug, &mut rng, &out, t, oldest, ops, step)?;
                 }
             }
 
             // Core speed asymmetry (big.LITTLE): slow-cluster cores pay a
             // fixed factor on every operation.
-            if !self.config.core_speed_percent.is_empty() {
-                let speed =
-                    self.config.core_speed_percent[t % self.config.core_speed_percent.len()] as u64;
+            if !config.core_speed_percent.is_empty() {
+                let speed = config.core_speed_percent[t % config.core_speed_percent.len()] as u64;
                 dt = (dt * speed).div_ceil(100);
             }
 
@@ -548,7 +684,7 @@ impl<'p> Simulator<'p> {
             // bug needs them; correct squashing makes them invisible
             // otherwise).
             if bug.needs_speculation() && rng.gen_bool(sched.spec_prob) {
-                let window_end = (oldest[t] + sched.reorder_window.max(1)).min(lens[t]);
+                let window_end = (oldest[t] + window).min(len);
                 for j in oldest[t]..window_end {
                     if committed[t][j] {
                         continue;
@@ -580,81 +716,76 @@ impl<'p> Simulator<'p> {
         }
 
         // Signature epilogue: initialize + store each signature word.
-        for (t, &words) in self.words_per_thread.iter().enumerate() {
+        for (t, &words) in words_per_thread.iter().enumerate() {
             instr_cycles[t] += words as u64 * timing.sig_store_cycles as u64;
         }
 
         Ok(Execution {
-            reads_from: exec,
+            reads_from: loads.iter().copied().zip(values.iter().copied()).collect(),
             test_cycles: vtime.iter().copied().max().unwrap_or(0),
             instr_cycles: instr_cycles.iter().copied().max().unwrap_or(0),
             stats,
             trace,
         })
     }
-
-    fn bug3_check(
-        &self,
-        rng: &mut SmallRng,
-        out: &crate::AccessOutcome,
-        committer: usize,
-        oldest: &[usize],
-        step: u64,
-    ) -> Result<(), SimError> {
-        let BugKind::ProtocolRace { prob } = self.config.bug else {
-            return Ok(());
-        };
-        let Some(evicted) = out.evicted_dirty else {
-            return Ok(());
-        };
-        let layout = self.program.layout();
-        // A writeback (PUTX) is in flight; does any other core have an
-        // imminent request (GETX/GETS) for the same line?
-        let racing = self.program.threads().iter().enumerate().any(|(u, code)| {
-            u != committer
-                && oldest[u] < code.len()
-                && code_addr(&code[oldest[u]]).is_some_and(|a| layout.line_of(a) == evicted)
-        });
-        if racing && rng.gen_bool(prob) {
-            return Err(SimError::ProtocolDeadlock {
-                step,
-                line: evicted,
-            });
-        }
-        Ok(())
-    }
 }
 
-fn code_addr(instr: &Instr) -> Option<mtc_isa::Addr> {
-    instr.addr()
-}
-
-/// Returns `true` when another thread's imminent (next `lookahead`
-/// uncommitted) operations also target `line` — two cores are pulling on
-/// the same cache line concurrently, the coherence-contention condition
-/// that boosts scheduler randomness.
-fn line_conflict(
-    program: &Program,
-    committed: &[Vec<bool>],
-    oldest: &[usize],
-    lens: &[usize],
-    lookahead: usize,
+/// Moves thread `t`'s bits in the per-line lookahead masks from the window
+/// of `lookahead` ops starting at `from` (its oldest op before the commit)
+/// to the uncommitted ops of the window starting at `to` (its oldest op
+/// now).
+fn refresh_lookahead(
+    masks: &mut [u64],
+    ops: &[OpInfo],
+    committed: &[bool],
     t: usize,
-    line: u32,
-) -> bool {
-    if lookahead == 0 {
-        return false;
-    }
-    let layout = program.layout();
-    (0..lens.len()).any(|u| {
-        if u == t {
-            return false;
+    from: usize,
+    to: usize,
+    lookahead: usize,
+) {
+    let bit = 1u64 << t;
+    let end = from.saturating_add(lookahead).min(ops.len());
+    for op in &ops[from..end] {
+        if op.line != NO_LINE {
+            masks[op.line as usize] &= !bit;
         }
-        let code = &program.threads()[u];
-        let end = (oldest[u] + lookahead).min(lens[u]);
-        (oldest[u]..end)
-            .any(|j| !committed[u][j] && code[j].addr().is_some_and(|a| layout.line_of(a) == line))
-    })
+    }
+    let end = to.saturating_add(lookahead).min(ops.len());
+    for (op, &done) in ops[to..end].iter().zip(&committed[to..end]) {
+        if !done && op.line != NO_LINE {
+            masks[op.line as usize] |= bit;
+        }
+    }
+}
+
+/// Injected bug 3: when an access evicted a dirty line — a writeback
+/// (`PUTX`) is in flight — and another core's head op requests the same
+/// line, the protocol wedges with probability `prob`.
+fn protocol_race(
+    bug: BugKind,
+    rng: &mut SmallRng,
+    out: &crate::AccessOutcome,
+    committer: usize,
+    oldest: &[usize],
+    ops: &[Vec<OpInfo>],
+    step: u64,
+) -> Result<(), SimError> {
+    let BugKind::ProtocolRace { prob } = bug else {
+        return Ok(());
+    };
+    let Some(evicted) = out.evicted_dirty else {
+        return Ok(());
+    };
+    let racing = ops.iter().enumerate().any(|(u, info)| {
+        u != committer && oldest[u] < info.len() && info[oldest[u]].line == evicted
+    });
+    if racing && rng.gen_bool(prob) {
+        return Err(SimError::ProtocolDeadlock {
+            step,
+            line: evicted,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -62,6 +62,15 @@ impl SimMemory {
         }
     }
 
+    /// Restores every word to its initial value — the per-iteration
+    /// initialization barrier — keeping the allocations.
+    pub(crate) fn reset(&mut self) {
+        match &mut self.repr {
+            Repr::MultipleCopy(words) => words.fill(Value::INIT),
+            Repr::NonMultipleCopy { stores, .. } => stores.iter_mut().for_each(Vec::clear),
+        }
+    }
+
     /// The value core `core` observes at `addr` at virtual time `now`.
     pub fn read(&self, addr: usize, core: usize, now: u64) -> Value {
         match &self.repr {
