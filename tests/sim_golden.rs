@@ -10,8 +10,10 @@
 //! fixture byte for byte. The matrix covers both ISA presets at 2/4/7
 //! threads, fenced tests, the three injected bugs, nMCA propagation, OS
 //! preemption, the register-flushing overlay, the uniform-random SC
-//! reference, a mid-sequence `reset_microarch`, the livelock guard, and
-//! reorder/lookahead windows wider than 64 operations.
+//! reference, a mid-sequence `reset_microarch`, the livelock guard,
+//! reorder/lookahead windows wider than 64 operations, and reorder windows
+//! of 64, 65 and 66 operations on both ISAs: the edge of the one-word order
+//! masks, where the `Mcm::orders` fallback first fires at 66.
 //!
 //! Regenerate (only when an *intentional* behaviour change lands) with:
 //!
@@ -67,7 +69,11 @@ fn matrix() -> Vec<Case> {
     let mut wide_x86 = SystemConfig::x86_desktop().with_aggressive_interleaving();
     wide_x86.scheduler.reorder_window = 130;
     wide_x86.scheduler.conflict_lookahead = 70;
-    vec![
+    let window = |mut system: SystemConfig, ops| {
+        system.scheduler.reorder_window = ops;
+        system
+    };
+    let mut cases = vec![
         Case::new("arm-2-50-32", arm(2, 50, 32), SystemConfig::arm_soc()),
         Case::new("arm-4-100-64", arm(4, 100, 64), SystemConfig::arm_soc()),
         Case::new("arm-7-200-64", arm(7, 200, 64), SystemConfig::arm_soc()),
@@ -162,7 +168,41 @@ fn matrix() -> Vec<Case> {
                 .with_words_per_line(2),
             wide_x86,
         ),
-    ]
+    ];
+    // Appended after the rest so that adding them left every earlier
+    // fixture line unchanged.
+    for (ops, arm_name, x86_name) in [
+        (
+            64,
+            "mask-boundary window-64 arm-4-200-32",
+            "mask-boundary window-64 x86-4-200-16 aggressive",
+        ),
+        (
+            65,
+            "mask-boundary window-65 arm-4-200-32",
+            "mask-boundary window-65 x86-4-200-16 aggressive",
+        ),
+        (
+            66,
+            "mask-boundary window-66 arm-4-200-32",
+            "mask-boundary window-66 x86-4-200-16 aggressive",
+        ),
+    ] {
+        cases.push(Case::new(
+            arm_name,
+            arm(4, 200, 32),
+            window(SystemConfig::arm_soc(), ops),
+        ));
+        cases.push(Case::new(
+            x86_name,
+            x86(4, 200, 16),
+            window(
+                SystemConfig::x86_desktop().with_aggressive_interleaving(),
+                ops,
+            ),
+        ));
+    }
+    cases
 }
 
 /// FNV-1a over a stream of little-endian `u64` words.
