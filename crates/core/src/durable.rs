@@ -20,6 +20,7 @@
 use std::fs::{self, File};
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 // --- CRC32C (Castagnoli) ------------------------------------------------
 
@@ -133,16 +134,19 @@ pub fn unframe_line(line: &str) -> Result<&str, FrameError> {
 /// instant `path` holds either its previous complete contents or the new
 /// complete contents, never a prefix. This is the single commit path for
 /// every artifact rewrite in the crate (journal header/checkpoint, `MTCS`
-/// sidecar, `MTCV` cache, fsck repairs); the temp name carries the pid so
-/// concurrent processes sharing a directory cannot collide.
+/// sidecar, `MTCV` cache, fsck repairs); the temp name carries the pid and
+/// a per-process sequence number, so concurrent writers of one path —
+/// in different processes or in one — never share a temp file.
 pub(crate) fn commit_atomically(
     path: &Path,
     write: impl FnOnce(&mut File) -> io::Result<()>,
 ) -> io::Result<()> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let mut name = path
         .file_name()
         .map_or_else(|| std::ffi::OsString::from("artifact"), ToOwned::to_owned);
-    name.push(format!(".tmp.{}", std::process::id()));
+    let seq = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+    name.push(format!(".tmp.{}.{seq}", std::process::id()));
     let tmp = path.with_file_name(name);
     let mut file = File::create(&tmp)?;
     let written = write(&mut file).and_then(|()| file.sync_all());
@@ -311,10 +315,20 @@ mod tests {
         }
     }
 
+    /// A fresh directory per call: pid, tag and a per-process counter.
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("mtc-durable-{}-{tag}-{n}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn commit_replaces_the_file_atomically() {
-        let dir = std::env::temp_dir().join(format!("mtc-durable-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("replace");
         let path = dir.join("artifact");
         use std::io::Write;
         commit_atomically(&path, |f| f.write_all(b"first")).unwrap();
@@ -326,6 +340,40 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(fs::read(&path).unwrap(), b"second");
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_commits_to_one_path_leave_one_complete_payload() {
+        use std::io::Write;
+        let dir = temp_dir("concurrent");
+        let path = dir.join("artifact");
+        // Distinct lengths and fill bytes: a torn or interleaved file
+        // matches none of them.
+        let payloads: Vec<Vec<u8>> = (0..8u8)
+            .map(|w| vec![b'a' + w; 4096 + usize::from(w) * 511])
+            .collect();
+        std::thread::scope(|scope| {
+            for payload in &payloads {
+                let path = &path;
+                scope.spawn(move || {
+                    for _ in 0..25 {
+                        commit_atomically(path, |f| f.write_all(payload)).unwrap();
+                    }
+                });
+            }
+        });
+        let contents = fs::read(&path).unwrap();
+        assert!(
+            payloads.contains(&contents),
+            "file holds {} bytes that match no single payload",
+            contents.len()
+        );
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, ["artifact"], "temp files left behind");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -68,13 +68,15 @@ pub struct CacheModel {
 }
 
 impl CacheModel {
-    /// Creates cold caches for `num_cores` cores.
+    /// Creates cold caches for `num_cores` cores, with the directory sized
+    /// for lines `0..num_lines` ([`CacheModel::access`] grows it for any
+    /// line beyond).
     ///
     /// # Panics
     ///
     /// Panics if `num_cores` exceeds 64 (the directory's sharer masks are
     /// one `u64` per line).
-    pub fn new(config: CacheConfig, num_cores: usize) -> Self {
+    pub fn new(config: CacheConfig, num_cores: usize, num_lines: usize) -> Self {
         assert!(
             num_cores <= 64,
             "the cache directory tracks at most 64 cores, got {num_cores}"
@@ -86,8 +88,8 @@ impl CacheModel {
             ways,
             entries: vec![Entry::default(); num_cores * sets * ways],
             set_len: vec![0; num_cores * sets],
-            present: Vec::new(),
-            modified: Vec::new(),
+            present: vec![0; num_lines],
+            modified: vec![0; num_lines],
         }
     }
 
@@ -213,17 +215,24 @@ impl CacheModel {
 
     /// Estimates the latency of an access by `core` to `line` without
     /// performing it — used by the latency-driven out-of-order commit
-    /// policy (a younger L1 hit overtakes an older miss).
+    /// policy (a younger L1 hit overtakes an older miss). Two directory
+    /// loads and a select: no branch on the line's state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is outside the directory: neither below the
+    /// `num_lines` the model was created with nor accessed since.
     pub fn peek_latency(&self, core: usize, line: u32) -> u32 {
-        let l = line as usize;
-        if l >= self.present.len() {
-            self.config.miss_cycles
-        } else if self.present[l] & (1u64 << core) != 0 {
-            self.config.hit_cycles
-        } else if self.modified[l] != 0 {
+        let (present, modified) = (self.present[line as usize], self.modified[line as usize]);
+        let miss = if modified != 0 {
             self.config.miss_cycles + self.config.coherence_cycles
         } else {
             self.config.miss_cycles
+        };
+        if present & (1u64 << core) != 0 {
+            self.config.hit_cycles
+        } else {
+            miss
         }
     }
 
@@ -362,7 +371,7 @@ mod tests {
             stream in prop::collection::vec((0usize..64, 0u32..4096, any::<bool>()), 1..4000),
         ) {
             for config in [CacheConfig::l1_1k(), CacheConfig::l1_32k()] {
-                let mut dir = CacheModel::new(config, cores);
+                let mut dir = CacheModel::new(config, cores, line_range as usize);
                 let mut scan = ScanModel::new(config, cores);
                 for (step, &(core, line, write)) in stream.iter().enumerate() {
                     let (core, line) = (core % cores, line % line_range);
@@ -383,8 +392,9 @@ mod tests {
         }
     }
 
+    /// An empty directory: `access` grows it line by line.
     fn tiny() -> CacheModel {
-        CacheModel::new(CacheConfig::l1_1k(), 2)
+        CacheModel::new(CacheConfig::l1_1k(), 2, 0)
     }
 
     #[test]
@@ -452,7 +462,7 @@ mod tests {
     fn peek_latency_matches_subsequent_access() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        let mut c = CacheModel::new(CacheConfig::l1_1k(), 3);
+        let mut c = CacheModel::new(CacheConfig::l1_1k(), 3, 12);
         let mut rng = SmallRng::seed_from_u64(7);
         for tick in 0..2000u64 {
             let core = rng.gen_range(0..3);
@@ -471,12 +481,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 64 cores")]
     fn more_than_64_cores_is_rejected() {
-        let _ = CacheModel::new(CacheConfig::l1_1k(), 65);
+        let _ = CacheModel::new(CacheConfig::l1_1k(), 65, 0);
     }
 
     #[test]
     fn big_cache_never_evicts_small_working_set() {
-        let mut c = CacheModel::new(CacheConfig::l1_32k(), 4);
+        let mut c = CacheModel::new(CacheConfig::l1_32k(), 4, 0);
         for line in 0..128 {
             for core in 0..4 {
                 let o = c.access(core, line, core == 0, (line * 4 + core as u32) as u64);

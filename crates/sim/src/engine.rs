@@ -27,17 +27,25 @@
 //!
 //! [`Simulator::run`] is the test loop of every campaign, so the work that
 //! does not depend on the run is done once in [`Simulator::new`]: a per-op
-//! table holds each operation's cache line and a bitmask of the preceding
-//! operations the MCM orders before it, which turns the ready-set rule into
-//! mask tests over the uncommitted part of the window (windows wider than
-//! the mask consult `Mcm::orders` for the operations beyond it). Coherence
-//! contention is a bit test against a per-line mask of the threads whose
-//! uncommitted lookahead touches the line, refreshed only when that thread
-//! commits. Per-run state lives in the simulator and is reset, not
-//! reallocated, at the start of each run, and loaded values go to a dense
-//! per-load array from which the `ReadsFrom` is built once at the end. None
-//! of this changes a single random draw: the draw order is part of the
-//! determinism contract, pinned by the simulator golden fixture.
+//! table holds each operation's cache line, its previous same-address store
+//! (store-buffer forwarding walks only those) and a bitmask of the preceding
+//! operations the MCM orders before it. Each step builds the window's ready
+//! set as a bitmask without branches — bit `d` is "uncommitted, and no
+//! uncommitted earlier op is ordered before it" — and the `reorder_prob`
+//! free choice and the latency-driven pick walk only its set bits. A window
+//! of up to 64 ops fits one `u64`; a wider one takes a multi-word mask and
+//! consults `Mcm::orders` for the ops beyond the order masks. `run` picks
+//! the mask type once per run and both are compiled from one generic body.
+//! The coherence directory is sized to the program's lines up front, so a
+//! latency peek is two loads and a select. Coherence contention is a bit
+//! test against a per-line mask of the threads whose uncommitted lookahead
+//! touches the line; per-thread counts let a commit update only the ops
+//! that enter or leave the lookahead. Per-run state lives in the simulator
+//! and is reset, not reallocated, at the start of each run, and loaded
+//! values go to a dense per-load array from which the `ReadsFrom` is built
+//! once at the end. None of this changes a single random draw: the draw
+//! order is part of the determinism contract, pinned by the simulator
+//! golden fixture.
 
 use crate::memory::SimMemory;
 use crate::{BranchPredictor, BugKind, CacheModel, SchedulerKind, SimError, SystemConfig};
@@ -102,6 +110,9 @@ struct SpecEntry {
 /// The cache line of a fence in the per-op table.
 const NO_LINE: u32 = u32::MAX;
 
+/// No operation, in [`OpInfo::prev_store`].
+const NO_OP: u32 = u32::MAX;
+
 /// Width of the precomputed order masks: an op's mask covers the 64 ops
 /// before it in program order.
 const MASK_BITS: usize = 64;
@@ -116,6 +127,8 @@ struct OpInfo {
     ordered_after: u64,
     /// Position in the run's dense load-value array (loads only).
     load: u32,
+    /// The youngest earlier store to the same address ([`NO_OP`] if none).
+    prev_store: u32,
     /// Instrumented chain index (loads, once a schema is attached).
     chain: Option<u32>,
 }
@@ -133,12 +146,180 @@ struct RunState {
     memory: SimMemory,
     /// Value observed by each load, in `(tid, idx)` order.
     values: Vec<Value>,
-    /// `lookahead[line]`: bit `u` set iff one of thread `u`'s next
-    /// `conflict_lookahead` ops from its oldest is uncommitted and touches
-    /// `line`.
-    lookahead: Vec<u64>,
-    ready: Vec<usize>,
+    lookahead: Lookahead,
     runnable: Vec<usize>,
+}
+
+/// Which threads' imminent ops touch each line: `masks[line]` bit `u` is
+/// set iff one of thread `u`'s next `conflict_lookahead` ops from its
+/// oldest is uncommitted and touches `line`. `refs` counts those ops per
+/// thread and line, so a commit updates only the ops that enter or leave
+/// the thread's lookahead.
+#[derive(Clone, Debug)]
+struct Lookahead {
+    masks: Vec<u64>,
+    /// `refs[t * lines + line]`.
+    refs: Vec<u32>,
+    lines: usize,
+}
+
+impl Lookahead {
+    fn new(threads: usize, lines: usize) -> Self {
+        Lookahead {
+            masks: vec![0; lines],
+            refs: vec![0; threads * lines],
+            lines,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.masks.fill(0);
+        self.refs.fill(0);
+    }
+
+    /// An uncommitted op of thread `t` touching `line` came into reach.
+    fn enter(&mut self, t: usize, line: u32) {
+        if line != NO_LINE {
+            let refs = &mut self.refs[t * self.lines + line as usize];
+            self.masks[line as usize] |= u64::from(*refs == 0) << t;
+            *refs += 1;
+        }
+    }
+
+    /// One of thread `t`'s ops touching `line` committed or left reach.
+    fn leave(&mut self, t: usize, line: u32) {
+        if line != NO_LINE {
+            let refs = &mut self.refs[t * self.lines + line as usize];
+            *refs -= 1;
+            self.masks[line as usize] &= !(u64::from(*refs == 0) << t);
+        }
+    }
+
+    /// Another thread than `t` is about to touch `line`.
+    fn contended(&self, t: usize, line: u32) -> bool {
+        self.masks[line as usize] & !(1u64 << t) != 0
+    }
+}
+
+/// The ready set of one step: bit `d` marks the window op at offset `d`
+/// from the thread's oldest uncommitted op as free to commit.
+///
+/// [`Simulator::run`] picks the implementation once per run — one `u64`
+/// when the reorder window fits in [`MASK_BITS`] ops, else [`WideMask`] —
+/// and both are compiled from the same generic step body, so the
+/// `Mcm::orders` fallback for offsets beyond the order masks compiles away
+/// for the one-word case.
+trait ReadyMask {
+    /// Whether offsets beyond [`MASK_BITS`] occur.
+    const WIDE: bool;
+    /// An empty set for a window of `width` ops.
+    fn with_width(width: usize) -> Self;
+    /// Empties the set.
+    fn clear(&mut self);
+    /// Adds offset `d` iff `ready`, without a branch.
+    fn insert(&mut self, d: usize, ready: bool);
+    /// Number of offsets in the set.
+    fn count(&self) -> usize;
+    /// The `n`-th smallest offset in the set.
+    fn nth(&self, n: usize) -> usize;
+    /// The smallest offset among those with the least `key`.
+    fn min_by_key(&self, key: impl FnMut(usize) -> u32) -> usize;
+}
+
+impl ReadyMask for u64 {
+    const WIDE: bool = false;
+
+    fn with_width(width: usize) -> Self {
+        debug_assert!(width <= MASK_BITS);
+        0
+    }
+
+    fn clear(&mut self) {
+        *self = 0;
+    }
+
+    fn insert(&mut self, d: usize, ready: bool) {
+        *self |= u64::from(ready) << d;
+    }
+
+    fn count(&self) -> usize {
+        self.count_ones() as usize
+    }
+
+    fn nth(&self, n: usize) -> usize {
+        let mut bits = *self;
+        for _ in 0..n {
+            bits &= bits - 1;
+        }
+        bits.trailing_zeros() as usize
+    }
+
+    fn min_by_key(&self, mut key: impl FnMut(usize) -> u32) -> usize {
+        let mut best = (self.trailing_zeros() as usize, u32::MAX);
+        scan_word(*self, 0, &mut best, &mut key);
+        best.0
+    }
+}
+
+/// Folds the set bits of `bits` (offsets `base + k`), smallest first, into
+/// the running `(offset, key)` minimum; ties keep the earlier offset.
+fn scan_word(
+    mut bits: u64,
+    base: usize,
+    best: &mut (usize, u32),
+    key: &mut impl FnMut(usize) -> u32,
+) {
+    while bits != 0 {
+        let d = base + bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        let k = key(d);
+        let better = k < best.1;
+        best.0 = if better { d } else { best.0 };
+        best.1 = best.1.min(k);
+    }
+}
+
+/// The ready set of a window wider than [`MASK_BITS`] ops: one `u64` per
+/// 64 offsets, walked word by word with the one-word kernels.
+struct WideMask(Vec<u64>);
+
+impl ReadyMask for WideMask {
+    const WIDE: bool = true;
+
+    fn with_width(width: usize) -> Self {
+        WideMask(vec![0; width.div_ceil(64)])
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+
+    fn insert(&mut self, d: usize, ready: bool) {
+        self.0[d / 64] |= u64::from(ready) << (d % 64);
+    }
+
+    fn count(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn nth(&self, mut n: usize) -> usize {
+        for (w, &word) in self.0.iter().enumerate() {
+            let ones = word.count();
+            if n < ones {
+                return w * 64 + word.nth(n);
+            }
+            n -= ones;
+        }
+        unreachable!("n is below the set's count")
+    }
+
+    fn min_by_key(&self, mut key: impl FnMut(usize) -> u32) -> usize {
+        let mut best = (self.nth(0), u32::MAX);
+        for (w, &word) in self.0.iter().enumerate() {
+            scan_word(word, w * 64, &mut best, &mut key);
+        }
+        best.0
+    }
 }
 
 /// A simulated multi-core system executing one test program.
@@ -192,7 +373,6 @@ impl<'p> Simulator<'p> {
     /// Panics if the program has no threads or more than 64.
     pub fn new(program: &'p Program, config: SystemConfig) -> Self {
         assert!(program.num_threads() > 0, "program must have threads");
-        let cache = CacheModel::new(config.cache, program.num_threads());
         let layout = program.layout();
         let mcm = config.mcm;
         // A window of `w` ops reaches at most `w - 1` ops back.
@@ -223,10 +403,15 @@ impl<'p> Simulator<'p> {
                         if instr.is_load() {
                             loads.push(OpId::new(Tid(t as u32), i as u32));
                         }
+                        let prev_store = (0..i)
+                            .rev()
+                            .find(|&j| code[j].is_store() && code[j].addr() == instr.addr())
+                            .map_or(NO_OP, |j| j as u32);
                         OpInfo {
                             line,
                             ordered_after,
                             load,
+                            prev_store,
                             chain: None,
                         }
                     })
@@ -234,6 +419,7 @@ impl<'p> Simulator<'p> {
             })
             .collect();
         let t_count = program.num_threads();
+        let cache = CacheModel::new(config.cache, t_count, num_lines);
         let num_addrs = program.num_addrs() as usize;
         let memory = match config.store_atomicity {
             crate::StoreAtomicity::MultipleCopy => SimMemory::multiple_copy(num_addrs),
@@ -249,8 +435,7 @@ impl<'p> Simulator<'p> {
             spec: vec![Vec::new(); t_count],
             memory,
             values: vec![Value::INIT; loads.len()],
-            lookahead: vec![0; num_lines],
-            ready: Vec::new(),
+            lookahead: Lookahead::new(t_count, num_lines),
             runnable: Vec::new(),
         };
         Simulator {
@@ -323,7 +508,8 @@ impl<'p> Simulator<'p> {
     /// Hard reset: cold caches and predictors (applied between *test runs*
     /// in the paper, not between loop iterations).
     pub fn reset_microarch(&mut self) {
-        self.cache = CacheModel::new(self.config.cache, self.program.num_threads());
+        let num_lines = self.state.lookahead.lines;
+        self.cache = CacheModel::new(self.config.cache, self.program.num_threads(), num_lines);
         if self.predictor.is_some() {
             let chain_lengths: Vec<usize> = self.candidates.iter().map(Vec::len).collect();
             self.predictor = Some(BranchPredictor::new(&chain_lengths));
@@ -343,6 +529,16 @@ impl<'p> Simulator<'p> {
     /// coherence protocol; [`SimError::Livelock`] if the engine fails to
     /// make progress (a simulator defect, not a test outcome).
     pub fn run(&mut self, seed: u64) -> Result<Execution, SimError> {
+        if self.config.scheduler.reorder_window <= MASK_BITS {
+            self.run_with::<u64>(seed)
+        } else {
+            self.run_with::<WideMask>(seed)
+        }
+    }
+
+    /// The engine body of [`Simulator::run`], generic over the ready-set
+    /// representation.
+    fn run_with<M: ReadyMask>(&mut self, seed: u64) -> Result<Execution, SimError> {
         let Simulator {
             program,
             config,
@@ -374,9 +570,9 @@ impl<'p> Simulator<'p> {
             memory,
             values,
             lookahead,
-            ready,
             runnable,
         } = state;
+        let mut ready = M::with_width(window);
 
         let mut rng = SmallRng::seed_from_u64(seed);
         committed.iter_mut().for_each(|c| c.fill(false));
@@ -384,9 +580,11 @@ impl<'p> Simulator<'p> {
         instr_cycles.fill(0);
         spec.iter_mut().for_each(Vec::clear);
         memory.reset();
-        lookahead.fill(0);
+        lookahead.clear();
         for (t, code) in ops.iter().enumerate() {
-            refresh_lookahead(lookahead, code, &committed[t], t, 0, 0, lookahead_len);
+            for op in &code[..lookahead_len.min(code.len())] {
+                lookahead.enter(t, op.line);
+            }
         }
         // Barrier-release skew: each core gets a random head start, which
         // selects this run's racing access pairs.
@@ -435,67 +633,61 @@ impl<'p> Simulator<'p> {
 
             // Operation choice within the LSQ-like window: an op is ready
             // unless an uncommitted earlier op in the window is ordered
-            // before it. `pending` bit `k` marks op `i - 1 - k` uncommitted.
+            // before it. `pending` bit `k` marks op `d - 1 - k` uncommitted.
             let start = oldest[t];
             let window_end = (start + window).min(len);
             ready.clear();
             let mut pending = 0u64;
-            for i in start..window_end {
-                let uncommitted = !committed[t][i];
-                if uncommitted {
-                    let blocked = pending & info[i].ordered_after != 0
-                        || (i - start > MASK_BITS
-                            && (start..i - MASK_BITS)
-                                .any(|j| !committed[t][j] && mcm.orders(&code[j], &code[i])));
-                    if !blocked {
-                        ready.push(i);
-                    }
+            let slots = committed[t][start..window_end]
+                .iter()
+                .zip(&info[start..window_end]);
+            for (d, (&done, op)) in slots.enumerate() {
+                let mut free = !done & (pending & op.ordered_after == 0);
+                if M::WIDE && d > MASK_BITS && free {
+                    let i = start + d;
+                    free = !(start..i - MASK_BITS)
+                        .any(|j| !committed[t][j] && mcm.orders(&code[j], &code[i]));
                 }
-                pending = pending << 1 | u64::from(uncommitted);
+                ready.insert(d, free);
+                pending = pending << 1 | u64::from(!done);
             }
-            debug_assert!(!ready.is_empty(), "oldest uncommitted op is always ready");
+            let count = ready.count();
+            debug_assert!(count > 0, "oldest uncommitted op is always ready");
             // Out-of-order commit within the ready window. The primary
             // policy is latency-driven and deterministic — a younger ready
             // L1 hit overtakes an older miss, exactly how an OoO core hides
             // miss latency — with `reorder_prob` adding occasional
             // speculative free choice on top.
-            let i = if ready.len() > 1
-                && sched.reorder_prob > 0.0
-                && rng.gen_bool(sched.reorder_prob)
-            {
-                ready[rng.gen_range(0..ready.len())]
-            } else if ready.len() > 1 {
-                let mut best = ready[0];
-                let mut best_latency = u32::MAX;
-                for &j in ready.iter() {
-                    let latency = match info[j].line {
-                        NO_LINE => 0,
-                        line => cache.peek_latency(t, line),
-                    };
-                    if latency < best_latency {
-                        best = j;
-                        best_latency = latency;
-                    }
-                }
-                best
+            let d = if count > 1 && sched.reorder_prob > 0.0 && rng.gen_bool(sched.reorder_prob) {
+                ready.nth(rng.gen_range(0..count))
+            } else if count > 1 {
+                ready.min_by_key(|d| match info[start + d].line {
+                    NO_LINE => 0,
+                    line => cache.peek_latency(t, line),
+                })
             } else {
-                ready[0]
+                ready.nth(0)
             };
+            let i = start + d;
 
             // Commit.
             committed[t][i] = true;
             while oldest[t] < len && committed[t][oldest[t]] {
                 oldest[t] += 1;
             }
-            refresh_lookahead(
-                lookahead,
-                info,
-                &committed[t],
-                t,
-                start,
-                oldest[t],
-                lookahead_len,
-            );
+            // The committed op leaves the thread's lookahead if it was in
+            // it; the uncommitted ops the advancing oldest op brings into
+            // reach enter it. A commit that neither lies in the lookahead
+            // nor moves the oldest op changes no mask.
+            if d < lookahead_len {
+                lookahead.leave(t, info[i].line);
+            }
+            let reach = oldest[t].saturating_add(lookahead_len).min(len);
+            for j in start.saturating_add(lookahead_len).max(oldest[t])..reach {
+                if !committed[t][j] {
+                    lookahead.enter(t, info[j].line);
+                }
+            }
             done += 1;
             stats.commits += 1;
             if *record_trace {
@@ -503,7 +695,7 @@ impl<'p> Simulator<'p> {
             }
             // Another core's imminent ops also target the line: two cores
             // pull on it concurrently (coherence contention).
-            let contended = |line: u32| lookahead[line as usize] & !(1u64 << t) != 0;
+            let contended = |line: u32| lookahead.contended(t, line);
 
             let mut dt = timing.base_cycles as u64;
             match code[i] {
@@ -520,15 +712,8 @@ impl<'p> Simulator<'p> {
                         }
                         _ => {
                             // Store-buffer forwarding, else memory.
-                            let fwd = (oldest[t].min(i)..i).rev().find_map(|j| match code[j] {
-                                Instr::Store { addr: a, value }
-                                    if a == addr && !committed[t][j] =>
-                                {
-                                    Some(Value::from(value))
-                                }
-                                _ => None,
-                            });
-                            fwd.unwrap_or_else(|| memory.read(addr.index(), t, vtime[t]))
+                            forwarded(code, info, &committed[t], oldest[t], i)
+                                .unwrap_or_else(|| memory.read(addr.index(), t, vtime[t]))
                         }
                     };
                     values[info[i].load as usize] = value;
@@ -697,11 +882,7 @@ impl<'p> Simulator<'p> {
                     }
                     // Loads that would forward from the store buffer cannot
                     // be invalidated; skip them.
-                    let forwards = (oldest[t]..j).any(|k| {
-                        !committed[t][k]
-                            && matches!(code[k], Instr::Store { addr: a, .. } if a == addr)
-                    });
-                    if forwards {
+                    if forwarded(code, info, &committed[t], oldest[t], j).is_some() {
                         continue;
                     }
                     spec[t].push(SpecEntry {
@@ -730,32 +911,25 @@ impl<'p> Simulator<'p> {
     }
 }
 
-/// Moves thread `t`'s bits in the per-line lookahead masks from the window
-/// of `lookahead` ops starting at `from` (its oldest op before the commit)
-/// to the uncommitted ops of the window starting at `to` (its oldest op
-/// now).
-fn refresh_lookahead(
-    masks: &mut [u64],
-    ops: &[OpInfo],
+/// The value store-buffer forwarding gives load `i`: that of the youngest
+/// earlier store to its address that is still uncommitted. Stores before
+/// the thread's `oldest` op are all committed, so the walk along the
+/// same-address stores stops there.
+fn forwarded(
+    code: &[Instr],
+    info: &[OpInfo],
     committed: &[bool],
-    t: usize,
-    from: usize,
-    to: usize,
-    lookahead: usize,
-) {
-    let bit = 1u64 << t;
-    let end = from.saturating_add(lookahead).min(ops.len());
-    for op in &ops[from..end] {
-        if op.line != NO_LINE {
-            masks[op.line as usize] &= !bit;
+    oldest: usize,
+    i: usize,
+) -> Option<Value> {
+    let mut j = info[i].prev_store;
+    while j != NO_OP && j as usize >= oldest {
+        if let (false, Instr::Store { value, .. }) = (committed[j as usize], code[j as usize]) {
+            return Some(Value::from(value));
         }
+        j = info[j as usize].prev_store;
     }
-    let end = to.saturating_add(lookahead).min(ops.len());
-    for (op, &done) in ops[to..end].iter().zip(&committed[to..end]) {
-        if !done && op.line != NO_LINE {
-            masks[op.line as usize] |= bit;
-        }
-    }
+    None
 }
 
 /// Injected bug 3: when an access evicted a dirty line — a writeback

@@ -35,30 +35,33 @@ impl BranchPredictor {
     /// observed value matched candidate `taken_idx`. Links `0..=taken_idx`
     /// execute (the chain early-exits at the match); each is a conditional
     /// branch that is taken only at the match. Returns the cycle cost.
+    ///
+    /// Every link before the match is not taken, so it mispredicts exactly
+    /// when its counter predicts taken (`>= 2`) and then decrements; the
+    /// matching link mispredicts when its counter predicts not taken and
+    /// then increments. The cost is counted arithmetically, not per link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `taken_idx` is not below the chain's length.
     pub fn chain_cost(
         &mut self,
         dense_load: usize,
         taken_idx: usize,
         timing: &TimingConfig,
     ) -> u64 {
-        let chain = &mut self.counters[dense_load];
-        debug_assert!(taken_idx < chain.len());
-        let mut cycles = 0u64;
-        for (j, counter) in chain.iter_mut().enumerate().take(taken_idx + 1) {
-            let taken = j == taken_idx;
-            let predicted = *counter >= 2;
-            self.executed_links += 1;
-            cycles += timing.chain_link_cycles as u64;
-            if predicted != taken {
-                self.mispredictions += 1;
-                cycles += timing.mispredict_cycles as u64;
-            }
-            *counter = match (taken, *counter) {
-                (true, c) => (c + 1).min(3),
-                (false, c) => c.saturating_sub(1),
-            };
+        let (not_taken, rest) = self.counters[dense_load].split_at_mut(taken_idx);
+        let last = &mut rest[0];
+        let mut misses = u64::from(*last < 2);
+        *last = (*last + 1).min(3);
+        for counter in not_taken {
+            misses += u64::from(*counter >= 2);
+            *counter = counter.saturating_sub(1);
         }
-        cycles
+        let links = taken_idx as u64 + 1;
+        self.executed_links += links;
+        self.mispredictions += misses;
+        links * timing.chain_link_cycles as u64 + misses * timing.mispredict_cycles as u64
     }
 
     /// Total mispredicted chain branches so far.
@@ -83,9 +86,68 @@ impl BranchPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn timing() -> TimingConfig {
         TimingConfig::default()
+    }
+
+    /// The per-link chain walk the arithmetic `chain_cost` replaced, kept
+    /// as a differential reference.
+    fn reference_chain_cost(
+        p: &mut BranchPredictor,
+        dense_load: usize,
+        taken_idx: usize,
+        timing: &TimingConfig,
+    ) -> u64 {
+        let chain = &mut p.counters[dense_load];
+        let mut cycles = 0u64;
+        for (j, counter) in chain.iter_mut().enumerate().take(taken_idx + 1) {
+            let taken = j == taken_idx;
+            let predicted = *counter >= 2;
+            p.executed_links += 1;
+            cycles += timing.chain_link_cycles as u64;
+            if predicted != taken {
+                p.mispredictions += 1;
+                cycles += timing.mispredict_cycles as u64;
+            }
+            *counter = match (taken, *counter) {
+                (true, c) => (c + 1).min(3),
+                (false, c) => c.saturating_sub(1),
+            };
+        }
+        cycles
+    }
+
+    proptest! {
+        /// The arithmetic chain cost matches the per-link walk call by
+        /// call: same cycles, misprediction and link totals, and counters.
+        #[test]
+        fn chain_cost_matches_per_link_reference(
+            lengths in prop::collection::vec(1usize..40, 1..6),
+            stream in prop::collection::vec((0usize..64, 0usize..64, any::<bool>()), 1..600),
+        ) {
+            let t = TimingConfig {
+                mispredict_cycles: 17,
+                chain_link_cycles: 3,
+                ..timing()
+            };
+            let mut fast = BranchPredictor::new(&lengths);
+            let mut reference = fast.clone();
+            for &(load, idx, repeat) in &stream {
+                let load = load % lengths.len();
+                // Half the draws reuse a fixed index per load so counters
+                // also saturate, not only wander.
+                let taken = (if repeat { load } else { idx }) % lengths[load];
+                prop_assert_eq!(
+                    fast.chain_cost(load, taken, &t),
+                    reference_chain_cost(&mut reference, load, taken, &t)
+                );
+                prop_assert_eq!(fast.mispredictions, reference.mispredictions);
+                prop_assert_eq!(fast.executed_links, reference.executed_links);
+                prop_assert_eq!(&fast.counters, &reference.counters);
+            }
+        }
     }
 
     #[test]

@@ -29,21 +29,28 @@ pub trait SampleRange<T> {
     fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
+// Unsigned spans fit in `u64`, so the draw is reduced with a 64-bit
+// remainder. The one span that does not fit, the full inclusive `u64`
+// range (2^64 values), takes the raw draw: the same value `x % 2^64` the
+// reduction would give.
 macro_rules! impl_int_range {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for core::ops::Range<$t> {
             fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty range in gen_range");
-                let span = (self.end - self.start) as u128;
-                self.start + (rng.next_u64() as u128 % span) as $t
+                let span = (self.end - self.start) as u64;
+                self.start + (rng.next_u64() % span) as $t
             }
         }
         impl SampleRange<$t> for core::ops::RangeInclusive<$t> {
             fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "empty range in gen_range");
-                let span = (hi - lo) as u128 + 1;
-                lo + (rng.next_u64() as u128 % span) as $t
+                let draw = rng.next_u64();
+                match ((hi - lo) as u64).checked_add(1) {
+                    Some(span) => lo + (draw % span) as $t,
+                    None => lo + draw as $t,
+                }
             }
         }
     )*};
@@ -169,6 +176,55 @@ pub mod seq {
             for i in (1..self.len()).rev() {
                 let j = rng.gen_range(0..=i);
                 self.swap(i, j);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::rngs::SmallRng;
+    use super::{Rng, RngCore, SeedableRng};
+
+    /// The reduction the 64-bit one replaced: the draw widened to `u128`,
+    /// modulo the span widened to `u128`.
+    fn u128_reduce(draw: u64, lo: u128, span: u128) -> u128 {
+        lo + draw as u128 % span
+    }
+
+    #[test]
+    fn integer_ranges_match_the_u128_reduction() {
+        for seed in [0, 1, 42, 20_170_624, 7919, u64::MAX] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut raw = rng.clone();
+            for _ in 0..1000 {
+                let got = [
+                    u128::from(rng.gen_range(0u32..1)),
+                    u128::from(rng.gen_range(0u32..7)),
+                    u128::from(rng.gen_range(0u32..=30)),
+                    u128::from(rng.gen_range(0u8..=250)),
+                    u128::from(rng.gen_range(0..u32::MAX)),
+                    u128::from(rng.gen_range(0..=u32::MAX)),
+                    u128::from(rng.gen_range(0..u64::MAX)),
+                    u128::from(rng.gen_range(0..=u64::MAX)),
+                    rng.gen_range(3usize..=3) as u128,
+                    u128::from(rng.gen_range(5u16..9)),
+                ];
+                let spans: [(u128, u128); 10] = [
+                    (0, 1),
+                    (0, 7),
+                    (0, 31),
+                    (0, 251),
+                    (0, u128::from(u32::MAX)),
+                    (0, u128::from(u32::MAX) + 1),
+                    (0, u128::from(u64::MAX)),
+                    (0, u128::from(u64::MAX) + 1),
+                    (3, 1),
+                    (5, 4),
+                ];
+                for (got, (lo, span)) in got.into_iter().zip(spans) {
+                    assert_eq!(got, u128_reduce(raw.next_u64(), lo, span), "seed {seed}");
+                }
             }
         }
     }
